@@ -24,7 +24,6 @@ from .objectives import (
     ConstraintSpec,
     EvaluationError,
     Evaluator,
-    ObjectiveSpec,
     Problem,
     constraint_indicator,
     soft_factor,
@@ -52,12 +51,11 @@ from .space import (
     SearchSpace,
     ValidationError,
     decode,
-    distance,
     encode,
     sample_uniform,
 )
 from .surrogate import GpHyperParams, GpModel, gp_fit, gp_posterior
-from .topsis import DecisionMatrix, TopsisResult, topsis_pick_best, topsis_rank
+from .topsis import DecisionMatrix, TopsisResult, topsis_rank
 
 __version__ = "0.1.0"
 
@@ -80,7 +78,6 @@ __all__ = [
     "GpModel",
     "Individual",
     "NoFeasibleResultError",
-    "ObjectiveSpec",
     "Observation",
     "Problem",
     "RunResult",
@@ -93,7 +90,6 @@ __all__ = [
     "constraint_indicator",
     "crowding_distance",
     "decode",
-    "distance",
     "dominates",
     "encode",
     "expected_improvement",
@@ -113,6 +109,5 @@ __all__ = [
     "sinusoid_problem",
     "soft_factor",
     "stop_check",
-    "topsis_pick_best",
     "topsis_rank",
 ]

@@ -26,8 +26,7 @@ from .engine import (
     exploit,
     run as run_engine,
 )
-from .nsga2 import GaConfig
-from .objectives import Problem, all_satisfied
+from .objectives import EvaluationError, Problem, all_satisfied
 from .pareto import generational_distance, objective_diagonal
 from .problems import (
     BUILTIN_PROBLEMS,
@@ -43,8 +42,8 @@ from .space import (
     ContinuousParam,
     DiscreteParam,
     SearchSpace,
-    ValidationError,
 )
+from .surrogate import GpNumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -233,10 +232,8 @@ def _build_engine_config(
     if getattr(args, "iters", None) is not None:
         engine_kwargs["max_iterations"] = args.iters
 
-    ga_defaults = {"population_size": 60, "generations": 30}
-    ga_defaults.update(ga_kwargs)
     try:
-        ga = GaConfig(**ga_defaults)
+        ga = dataclasses.replace(EngineConfig().ga, **ga_kwargs)
         return EngineConfig(ga=ga, **engine_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"engine settings invalid: {exc}") from exc
@@ -312,9 +309,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _front_rows(record: LoadedRecord) -> tuple[list[str], list[list[str]]]:
     archive = record.archive
     if record.result is not None:
-        pof = [int(i) for i in record.result["pof"]]
-        best = int(record.result["best_index"])
-        closeness = {int(i): float(v) for i, v in record.result["closeness"]}
+        res = record.result
+        pof, best, closeness = res["pof"], res["best_index"], res["closeness"]
     else:
         # interrupted run: recompute the front from the observation prefix
         try:
@@ -373,15 +369,6 @@ def _write_objectives_csv(path: str, names: Sequence[str], rows: np.ndarray) -> 
             w.writerow([repr(float(v)) for v in row])
 
 
-def _hard_violations(problem: Problem, result: RunResult) -> int:
-    hard = [c for c in problem.constraints if c.is_hard]
-    return sum(
-        1
-        for obs in result.archive.observations
-        if not all_satisfied(hard, obs.candidate)
-    )
-
-
 def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, Any]]:
     problem = get_problem(name)
     # the reference study runs a fixed 50-iteration exploration, so delta sits
@@ -390,7 +377,6 @@ def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, An
         n_initial=8,
         max_iterations=58,  # 8 initial + 50 exploration evaluations
         delta=1e-12,
-        ga=GaConfig(population_size=60, generations=30),
         seed=_VERIFY_SEEDS[name],
     )
     started = time.perf_counter()
@@ -401,7 +387,10 @@ def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, An
     front = result.archive.objective_matrix()[result.pof]
     gd = generational_distance(front, oracle)
     diag = objective_diagonal(oracle)
-    violations = _hard_violations(problem, result)
+    violations = sum(
+        not all_satisfied(problem.hard_constraints, obs.candidate)
+        for obs in result.archive.observations
+    )
 
     _write_objectives_csv(
         os.path.join(out_dir, "moboga_front.csv"), problem.objective_names, front
@@ -430,7 +419,6 @@ def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
         n_initial=1,
         max_iterations=16,  # seed point + 15 exploration evaluations
         delta=1e-12,
-        ga=GaConfig(population_size=60, generations=30),
         seed=_VERIFY_SEEDS["sinusoid-1d"],
     )
     started = time.perf_counter()
@@ -560,16 +548,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ValidationError) as exc:
+    except ValueError as exc:  # ConfigError, ValidationError, BenchmarkConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoFeasibleResultError as exc:
         print(f"no feasible result: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    except (EngineError, RecordError, BenchmarkConfigError, OSError) as exc:
+    except (
+        EngineError, EvaluationError, GpNumericalError, RecordError, OSError
+    ) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

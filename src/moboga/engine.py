@@ -16,6 +16,8 @@ TOPSIS. That sign bridge lives here and nowhere else.
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,11 +26,11 @@ import numpy as np
 from .acquisition import AcquisitionContext, ca_ei
 from .nsga2 import GaConfig, nsga2_run
 from .objectives import (
-    ConstraintSpec,
     EvaluationError,
     Problem,
     all_satisfied,
     evaluate_candidate,
+    total_violation,
 )
 from .pareto import pareto_front
 from .space import Candidate, SearchSpace, decode, encode, sample_uniform, validate_candidate
@@ -41,6 +43,17 @@ MAX_ITERATIONS = "max_iterations"
 # Encodings this close count as the same point: decode/encode round-tripping
 # of a genome that sits on an archived candidate leaves float-noise residue.
 DUPLICATE_TOL = 1e-12
+
+
+def _min_distance(encodings, enc: np.ndarray) -> float:
+    """Smallest Euclidean distance from enc to any row of encodings (inf if none).
+
+    The duplicate test (``<= DUPLICATE_TOL``) and the stop rule (``<= delta``)
+    are both thresholds on this one number.
+    """
+    if len(encodings) == 0:
+        return math.inf
+    return float(np.linalg.norm(np.asarray(encodings) - enc, axis=1).min())
 
 
 class EngineError(RuntimeError):
@@ -74,11 +87,10 @@ class Archive:
     def append(self, obs: Observation) -> None:
         if self.observations and obs.iteration < self.observations[-1].iteration:
             raise EngineError("observation iterations must be non-decreasing")
-        for prior in self.observations:
-            if np.array_equal(prior.encoded, obs.encoded):
-                raise EngineError(
-                    f"duplicate observation: encoding {obs.encoded} already archived"
-                )
+        if self.min_distance(obs.encoded) <= DUPLICATE_TOL:
+            raise EngineError(
+                f"duplicate observation: encoding {obs.encoded} already archived"
+            )
         self.observations.append(obs)
 
     def encoded_matrix(self) -> np.ndarray:
@@ -90,19 +102,9 @@ class Archive:
     def feasible_indices(self) -> list[int]:
         return [i for i, o in enumerate(self.observations) if o.feasible]
 
-    def has_encoding(self, enc: np.ndarray, tol: float = 0.0) -> bool:
-        """True if an archived encoding matches exactly (tol=0) or within tol.
-
-        The tolerance form catches picks that differ from an archived point
-        only by decode/encode rounding noise.
-        """
-        if tol <= 0.0:
-            return any(np.array_equal(o.encoded, enc) for o in self.observations)
-        if not self.observations:
-            return False
-        return bool(
-            np.any(np.linalg.norm(self.encoded_matrix() - enc, axis=1) <= tol)
-        )
+    def min_distance(self, enc: np.ndarray) -> float:
+        """Encoded distance from enc to the nearest archived point (inf if empty)."""
+        return _min_distance([o.encoded for o in self.observations], enc)
 
 
 NextPick = Union[str, Callable[[list[tuple[Candidate, np.ndarray]]], int]]
@@ -147,22 +149,14 @@ class RunResult:
     iterations_used: int
 
 
-def _hard_constraints(constraints: Sequence[ConstraintSpec]) -> list[ConstraintSpec]:
-    return [c for c in constraints if c.is_hard]
-
-
-def _hard_feasible(constraints: Sequence[ConstraintSpec], cand: Candidate) -> bool:
-    return all_satisfied(_hard_constraints(constraints), cand)
-
-
 def _uniform_hard_feasible(
     problem: Problem, archive: Archive, rng: np.random.Generator, attempts: int = 1000
 ) -> Candidate:
     for _ in range(attempts):
         cand = sample_uniform(problem.space, rng)
-        if not _hard_feasible(problem.constraints, cand):
+        if not all_satisfied(problem.hard_constraints, cand):
             continue
-        if not archive.has_encoding(encode(problem.space, cand)):
+        if archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL:
             return cand
     raise EngineError(
         "could not draw a fresh hard-feasible candidate; the feasible region "
@@ -197,25 +191,22 @@ def propose_next(
         return np.array([-ca_ei(ctx, cand) for ctx in contexts])
 
     ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
-    population, _ = nsga2_run(score_fn, ga_cfg, space)
-
-    front_ids = pareto_front([ind.scores for ind in population])
-    pm = [(decode(space, population[i].genome), -population[i].scores) for i in front_ids]
+    population, part = nsga2_run(score_fn, ga_cfg, space)
+    pm = [(decode(space, population[i].genome), -population[i].scores) for i in part.fronts[0]]
 
     ordered = _rank_pool(pm, cfg.next_pick)
     fresh: list[Candidate] = []
-    taken: list[np.ndarray] = []
+    # picks join the archived encodings: the pool may carry duplicate genomes
+    seen = list(X)
     for i in ordered:
         cand = pm[i][0]
-        if not _hard_feasible(problem.constraints, cand):
+        if not all_satisfied(problem.hard_constraints, cand):
             continue
         enc = encode(space, cand)
-        if archive.has_encoding(enc, tol=DUPLICATE_TOL):
+        if _min_distance(seen, enc) <= DUPLICATE_TOL:
             continue
-        if any(np.linalg.norm(enc - t) <= DUPLICATE_TOL for t in taken):
-            continue  # the pool may carry duplicate genomes
         fresh.append(cand)
-        taken.append(enc)
+        seen.append(enc)
     if isinstance(cfg.next_pick, str) and cfg.next_pick == "all":
         picked = fresh
     else:
@@ -228,7 +219,15 @@ def propose_next(
 def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> list[int]:
     """Order the informative pool best-first (TOPSIS, benefit direction)."""
     if callable(next_pick):
-        idx = int(next_pick(pm))
+        raw = next_pick(pm)
+        try:
+            idx = operator.index(raw)
+        except TypeError:
+            idx = -1
+        if not 0 <= idx < len(pm):
+            raise EngineError(
+                f"next_pick returned {raw!r}; expected an integer index in [0, {len(pm)})"
+            )
         rest = [i for i in range(len(pm)) if i != idx]
         return [idx] + rest
     acq = np.vstack([vec for _, vec in pm])
@@ -250,9 +249,7 @@ def stop_check(
     """Stop when the minimum encoded distance to the archive drops to delta."""
     if len(archive) == 0:
         raise EngineError("stop_check needs a non-empty archive")
-    enc = encode(space, nxt)
-    d = float(np.linalg.norm(archive.encoded_matrix() - enc, axis=1).min())
-    return d <= delta
+    return archive.min_distance(encode(space, nxt)) <= delta
 
 
 def _initial_design(
@@ -271,7 +268,7 @@ def _initial_design(
 
     def admit(cand: Candidate) -> bool:
         enc = encode(problem.space, cand)
-        if any(np.array_equal(enc, e) for e in encodings):
+        if _min_distance(encodings, enc) <= DUPLICATE_TOL:
             return False
         chosen.append(cand)
         encodings.append(enc)
@@ -282,7 +279,7 @@ def _initial_design(
         if len(chosen) < cfg.n_initial:
             admit(cand)
 
-    hard = _hard_constraints(problem.constraints)
+    hard = problem.hard_constraints
     rejected: list[tuple[float, int, Candidate]] = []
     attempts = 100 * cfg.n_initial
     for attempt in range(attempts):
@@ -292,12 +289,7 @@ def _initial_design(
         if all_satisfied(hard, cand):
             admit(cand)
         else:
-            amount = sum(
-                c.violation(cand) if c.violation is not None else 1.0
-                for c in hard
-                if not c.predicate(cand)
-            )
-            rejected.append((amount, attempt, cand))
+            rejected.append((total_violation(hard, cand), attempt, cand))
     if len(chosen) < cfg.n_initial:
         for _, _, cand in sorted(rejected, key=lambda t: (t[0], t[1])):
             if len(chosen) >= cfg.n_initial:
@@ -354,12 +346,7 @@ def explore(
     while len(archive) < cfg.max_iterations:
         iteration += 1
         proposal = propose_next(archive, problem, cfg, rng)
-        enc = archive.encoded_matrix()
-        d = min(
-            float(np.linalg.norm(enc - encode(problem.space, cand), axis=1).min())
-            for cand in proposal.picked
-        )
-        if d <= cfg.delta:
+        if any(stop_check(archive, c, cfg.delta, problem.space) for c in proposal.picked):
             stop_reason = STOP_THRESHOLD
             break
         progressed = False

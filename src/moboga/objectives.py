@@ -20,27 +20,14 @@ class EvaluationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
-    name: str
-    index: int  # 1-based, contiguous
-
-
-def make_objectives(names: Sequence[str]) -> tuple[ObjectiveSpec, ...]:
-    if not names:
-        raise ValueError("at least one objective is required")
-    if len(set(names)) != len(names):
-        raise ValueError("objective names must be unique")
-    return tuple(ObjectiveSpec(n, i + 1) for i, n in enumerate(names))
-
-
-@dataclass(frozen=True)
 class ConstraintSpec:
     """A named predicate with hard (beta=None) or soft enforcement.
 
     ``beta`` maps a violating candidate to a penalty factor in [0, 1).
     ``violation`` optionally measures by how much the candidate misses the
-    constraint (0 when satisfied); only the genetic-algorithm benchmark
-    runner's death penalty and the initialization tie-break consume it.
+    constraint (0 when satisfied); only ``total_violation`` consumes it, for
+    the genetic-algorithm benchmark runner's death penalty and the
+    initialization tie-break.
     """
 
     name: str
@@ -76,18 +63,17 @@ def soft_factor(c: ConstraintSpec, x: Candidate) -> float:
     return b
 
 
-def penalty_product(constraints: Sequence[ConstraintSpec], x: Candidate) -> float:
-    """Product of soft factors over all constraints (1 iff all satisfied)."""
-    out = 1.0
-    for c in constraints:
-        out *= soft_factor(c, x)
-        if out == 0.0:
-            break
-    return out
-
-
 def all_satisfied(constraints: Sequence[ConstraintSpec], x: Candidate) -> bool:
     return all(constraint_indicator(c, x) for c in constraints)
+
+
+def total_violation(constraints: Sequence[ConstraintSpec], x: Candidate) -> float:
+    """Summed violation of the constraints x misses (1 each where unmeasured)."""
+    return sum(
+        c.violation(x) if c.violation is not None else 1.0
+        for c in constraints
+        if not constraint_indicator(c, x)
+    )
 
 
 # An evaluator measures all objectives for one candidate. It may be expensive;
@@ -108,11 +94,18 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective_names", tuple(self.objective_names))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        make_objectives(self.objective_names)
+        if not self.objective_names:
+            raise ValueError("at least one objective is required")
+        if len(set(self.objective_names)) != len(self.objective_names):
+            raise ValueError("objective names must be unique")
 
     @property
     def n_objectives(self) -> int:
         return len(self.objective_names)
+
+    @property
+    def hard_constraints(self) -> tuple[ConstraintSpec, ...]:
+        return tuple(c for c in self.constraints if c.is_hard)
 
 
 def evaluate_candidate(problem: Problem, x: Candidate) -> np.ndarray:

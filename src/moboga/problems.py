@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .objectives import ConstraintSpec, Problem, all_satisfied
+from .objectives import ConstraintSpec, Problem, all_satisfied, total_violation
 from .space import Candidate, ContinuousParam, SearchSpace
 
 
@@ -62,8 +62,12 @@ SINUSOID_BETA_CAP = 1.0 - 1e-9
 def sinusoid_soft_beta(x: float) -> float:
     """Severity-based penalty 1/(x-0.6)^4 for x > 0.6, clamped below 1.
 
-    The raw inverse-quartic exceeds 1 everywhere on this domain, so the clamp
-    keeps it a valid penalty factor.
+    The raw inverse-quartic exceeds 1 everywhere on this domain (the gap is at
+    most 0.6), so the clamp keeps it a valid penalty factor. It also makes the
+    penalty inert: beta is 1 - 1e-9 over the whole soft tail, so the soft
+    constraint scales the acquisition by a negligible amount, and the 1-D
+    study's "at least one soft-tail query" check cannot tell this penalty
+    from none.
     """
     gap = x - SINUSOID_HARD_HI
     if gap <= 0:
@@ -252,12 +256,6 @@ def penalized_score_fn(problem: Problem, resolution: int = 64):
         cand = decode(problem.space, genome)
         if all_satisfied(problem.constraints, cand):
             return np.asarray(problem.evaluator(cand), dtype=float)
-        total = 0.0
-        for c in problem.constraints:
-            if c.violation is not None:
-                total += c.violation(cand)
-            elif not c.predicate(cand):
-                total += 1.0
-        return worst + total
+        return worst + total_violation(problem.constraints, cand)
 
     return score

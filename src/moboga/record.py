@@ -154,49 +154,58 @@ def load_record(path: str) -> LoadedRecord:
     if not lines:
         raise RecordError(f"record {path!r} is empty")
 
-    docs: list[dict[str, Any]] = []
+    docs: list[tuple[int, dict[str, Any]]] = []  # (1-based line number, document)
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
         try:
-            docs.append(json.loads(line))
+            doc = json.loads(line)
         except json.JSONDecodeError:
+            doc = None
+        if not isinstance(doc, dict):
             if i == len(lines) - 1:
                 break  # torn trailing line from an interrupted run
             raise RecordError(f"record {path!r}: malformed line {i + 1}")
+        docs.append((i + 1, doc))
 
-    if not docs or docs[0].get("kind") != "header":
+    if not docs or docs[0][1].get("kind") != "header":
         raise RecordError(f"record {path!r}: missing header line")
-    header = docs[0]
+    lineno, header = docs[0]
     if header.get("format_version") != FORMAT_VERSION:
         raise RecordError(
             f"record {path!r}: format_version {header.get('format_version')!r} unsupported"
         )
-    space = space_from_json(header["space"])
 
     archive = Archive()
     result: Optional[dict[str, Any]] = None
-    for doc in docs[1:]:
-        kind = doc.get("kind")
-        if kind == "observation":
-            archive.append(
-                Observation(
-                    candidate=Candidate(dict(doc["values"])),
-                    objectives=np.asarray(doc["objectives"], dtype=float),
-                    feasible=bool(doc["feasible"]),
-                    iteration=int(doc["iteration"]),
-                    encoded=np.asarray(doc["encoded"], dtype=float),
+    try:
+        space = space_from_json(header["space"])
+        header["objective_names"] = list(header["objective_names"])
+        for lineno, doc in docs[1:]:
+            kind = doc.get("kind")
+            if kind == "observation":
+                archive.append(
+                    Observation(
+                        candidate=Candidate(dict(doc["values"])),
+                        objectives=np.asarray(doc["objectives"], dtype=float),
+                        feasible=bool(doc["feasible"]),
+                        iteration=int(doc["iteration"]),
+                        encoded=np.asarray(doc["encoded"], dtype=float),
+                    )
                 )
-            )
-        elif kind == "result":
-            result = doc
-        else:
-            raise RecordError(f"record {path!r}: unknown line kind {kind!r}")
+            elif kind == "result":
+                result = doc
+                archive.stop_reason = result["stop_reason"]
+                archive.iterations_used = int(result["iterations_used"])
+                result["pof"] = [int(i) for i in result["pof"]]
+                result["best_index"] = int(result["best_index"])
+                result["closeness"] = {int(i): float(v) for i, v in result["closeness"]}
+            else:
+                raise RecordError(f"record {path!r}: unknown line kind {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecordError(f"record {path!r}: bad field on line {lineno}: {exc!r}") from exc
 
-    if result is not None:
-        archive.stop_reason = result["stop_reason"]
-        archive.iterations_used = int(result["iterations_used"])
-    else:
+    if result is None:
         archive.iterations_used = len(archive)
     return LoadedRecord(header=header, space=space, archive=archive, result=result)

@@ -222,8 +222,3 @@ def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Candidate:
         else:
             values[p.name] = p.labels[int(rng.integers(len(p.labels)))]
     return Candidate(values)
-
-
-def distance(space: SearchSpace, a: Candidate, b: Candidate) -> float:
-    """Euclidean distance between the two candidates' encodings."""
-    return float(np.linalg.norm(encode(space, a) - encode(space, b)))

@@ -7,7 +7,6 @@ d_worst / (d_best + d_worst) and ranked descending, ties to the lower index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -76,16 +75,3 @@ def topsis_rank(dm: DecisionMatrix) -> TopsisResult:
     closeness = np.where(total > 0, np.divide(d_worst, np.where(total > 0, total, 1.0)), 0.5)
     ranking = np.argsort(-closeness, kind="stable")
     return TopsisResult(closeness, ranking)
-
-
-def topsis_pick_best(
-    points: Sequence[Sequence[float]],
-    directions: Sequence[str],
-    weights: Sequence[float] | None = None,
-) -> int:
-    """Rank the points (uniform weights unless given) and return the winner's index."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if weights is None:
-        weights = np.full(points.shape[1], 1.0 / points.shape[1])
-    dm = DecisionMatrix(points, np.asarray(weights, dtype=float), tuple(directions))
-    return int(topsis_rank(dm).ranking[0])

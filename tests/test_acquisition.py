@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from moboga.acquisition import AcquisitionContext, ca_ei, expected_improvement
-from moboga.objectives import ConstraintSpec
+from moboga.objectives import ConstraintSpec, all_satisfied
 from moboga.space import Candidate, ContinuousParam, SearchSpace
 from moboga.surrogate import GpHyperParams, gp_fit
 
@@ -115,3 +116,38 @@ class TestCaEi:
         ctx = make_context([soft])
         for x in np.linspace(0.0, 1.0, 50):
             assert ca_ei(ctx, Candidate({"x": float(x)})) >= 0.0
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.booleans().map(lambda ok: ("hard", ok)),
+            st.tuples(st.booleans(), st.floats(0, 0.99)).map(lambda t: ("soft", *t)),
+        ),
+        max_size=5,
+    )
+)
+def test_constraint_factor_product_bounds_and_semantics(specs):
+    constraints = []
+    for i, spec in enumerate(specs):
+        if spec[0] == "hard":
+            constraints.append(ConstraintSpec(f"h{i}", predicate=lambda c, ok=spec[1]: ok))
+        else:
+            constraints.append(
+                ConstraintSpec(
+                    f"s{i}",
+                    predicate=lambda c, ok=spec[1]: ok,
+                    beta=lambda c, b=spec[2]: b,
+                )
+            )
+    x = Candidate({"x": 0.3})
+    plain = ca_ei(make_context(), x)
+    assert plain > 0.0
+    product = ca_ei(make_context(constraints), x) / plain
+    assert 0.0 <= product <= 1.0
+    if all_satisfied(constraints, x):
+        assert product == 1.0
+    else:
+        assert product < 1.0
+    if any(s[0] == "hard" and not s[1] for s in specs):
+        assert product == 0.0

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from moboga.cli import (
     EXIT_CONFIG,
     EXIT_NO_FEASIBLE,
     EXIT_OK,
+    EXIT_RUNTIME,
     load_config,
     main,
 )
@@ -145,6 +148,21 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "problem.evaluator" in capsys.readouterr().err
 
+    def test_failing_constraint_predicate_is_a_runtime_error(self, tmp_path, capsys):
+        # binh-korn's constraints read y, which this custom space lacks
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nevaluator = binh-korn\nconstraints = binh-korn\n\n"
+            "[engine]\nn_initial = 3\nmax_iterations = 5\n\n"
+            "[ga]\npopulation_size = 8\ngenerations = 3\n\n"
+            "[param.a]\ntype = continuous\nlo = 0\nhi = 1\n\n"
+            "[param.x]\ntype = continuous\nlo = 0\nhi = 3\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and "constraint 'c1'" in err
+
 
 class TestFront:
     def make_record(self, tmp_path):
@@ -202,6 +220,46 @@ class TestFront:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json at all\n{}\n")
         assert main(["front", str(bad), "-o", str(tmp_path / "x.csv")]) == 3
+        bad.write_text("[1, 2]\n{}\n")
+        assert main(["front", str(bad), "-o", str(tmp_path / "x.csv")]) == 3
+
+    HEADER = {
+        "kind": "header",
+        "format_version": 1,
+        "space": [{"name": "x", "type": "continuous", "lo": 0.0, "hi": 1.0}],
+        "objective_names": ["q"],
+    }
+    OBSERVATION = {
+        "kind": "observation",
+        "iteration": 0,
+        "values": {"x": 0.5},
+        "encoded": [0.5],
+        "objectives": [1.0],
+        "feasible": True,
+    }
+
+    def front_of(self, tmp_path, *docs):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        return main(["front", str(path), "-o", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("missing", ["space", "objective_names"])
+    def test_header_without_required_field_is_a_runtime_error(self, tmp_path, capsys, missing):
+        header = {k: v for k, v in self.HEADER.items() if k != missing}
+        assert self.front_of(tmp_path, header, self.OBSERVATION) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 1" in err and missing in err
+
+    def test_malformed_observation_field_is_a_runtime_error(self, tmp_path, capsys):
+        bad = dict(self.OBSERVATION, iteration="one")
+        assert self.front_of(tmp_path, self.HEADER, bad) == EXIT_RUNTIME
+        assert "line 2" in capsys.readouterr().err
+
+    def test_result_line_without_front_is_a_runtime_error(self, tmp_path, capsys):
+        result = {"kind": "result", "stop_reason": "max_iterations", "iterations_used": 1}
+        assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, result) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3" in err and "pof" in err
 
 
 class TestVerify:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from moboga import engine
 from moboga.engine import (
+    DUPLICATE_TOL,
     Archive,
     EngineConfig,
     EngineError,
@@ -61,6 +63,21 @@ class TestArchive:
         archive = archive_of(space, [(0.5, [1.0])])
         with pytest.raises(EngineError, match="duplicate"):
             archive.append(obs(space, 0.5, [2.0]))
+
+    def test_rejects_encodings_within_duplicate_tolerance(self):
+        space = space_1d()
+        archive = archive_of(space, [(0.5, [1.0])])
+        with pytest.raises(EngineError, match="duplicate"):
+            archive.append(obs(space, 0.5 + 1e-13, [2.0]))
+        archive.append(obs(space, 0.5 + 1e-9, [2.0]))
+        assert len(archive) == 2
+
+    def test_min_distance_is_the_nearest_encoded_distance(self):
+        space = space_1d()
+        assert Archive().min_distance(np.array([0.5])) == np.inf
+        archive = archive_of(space, [(0.2, [1.0]), (0.9, [2.0])])
+        assert archive.min_distance(np.array([0.3])) == pytest.approx(0.1)
+        assert archive.min_distance(encode(space, Candidate({"x": 0.9}))) == 0.0
 
     def test_rejects_decreasing_iterations(self):
         space = space_1d()
@@ -169,6 +186,27 @@ class TestExplore:
         assert calls["n"] == 5
         assert all(np.isfinite(o.objectives).all() for o in archive.observations)
 
+    def test_loop_stops_through_stop_check(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return True
+
+        monkeypatch.setattr(engine, "stop_check", spy)
+        cfg = EngineConfig(n_initial=3, max_iterations=30, ga=SMALL_GA, seed=2)
+        archive = explore(two_obj_problem(), cfg)
+        assert archive.stop_reason == STOP_THRESHOLD
+        assert len(calls) == 1 and calls[0][2] == cfg.delta
+
+    def test_initial_candidates_within_duplicate_tolerance_count_once(self):
+        problem = parabola_problem()
+        near = [Candidate({"x": 0.5}), Candidate({"x": 0.5 + 1e-13})]
+        cfg = EngineConfig(n_initial=2, max_iterations=2, ga=SMALL_GA)
+        chosen = engine._initial_design(problem, cfg, np.random.default_rng(0), near)
+        assert len(chosen) == 2
+        assert sum(abs(c["x"] - 0.5) < 1e-9 for c in chosen) == 1
+
 
 class TestProposeNext:
     def test_single_observation_is_enough(self):
@@ -198,7 +236,7 @@ class TestProposeNext:
         rng = np.random.default_rng(2)
         proposal = propose_next(archive, problem, EngineConfig(ga=SMALL_GA), rng)
         for cand in proposal.picked:
-            assert not archive.has_encoding(encode(problem.space, cand))
+            assert archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL
 
     def test_all_mode_returns_the_whole_pool(self):
         problem = two_obj_problem()
@@ -238,6 +276,20 @@ class TestProposeNext:
         proposal = propose_next(archive, problem, cfg, np.random.default_rng(4))
         assert seen["pool"] >= 1
         assert len(proposal.picked) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda pm: -1, lambda pm: len(pm), lambda pm: 0.0],
+        ids=["minus_one", "pool_length", "float"],
+    )
+    def test_custom_hook_index_out_of_range_is_an_engine_error(self, bad):
+        problem = two_obj_problem()
+        archive = archive_of(
+            problem.space, [(0.2, [0.2, 0.8]), (0.6, [0.6, 0.4]), (0.9, [0.9, 0.1])]
+        )
+        cfg = EngineConfig(ga=SMALL_GA, next_pick=bad)
+        with pytest.raises(EngineError, match="next_pick returned"):
+            propose_next(archive, problem, cfg, np.random.default_rng(4))
 
 
 class TestExploit:

@@ -9,9 +9,8 @@ from moboga.objectives import (
     all_satisfied,
     constraint_indicator,
     evaluate_candidate,
-    make_objectives,
-    penalty_product,
     soft_factor,
+    total_violation,
 )
 from moboga.space import Candidate, ContinuousParam, SearchSpace
 
@@ -70,37 +69,21 @@ class TestSoftFactor:
             assert soft_factor(hard, cand(x)) == constraint_indicator(hard, cand(x))
 
 
-@given(
-    st.lists(
-        st.one_of(
-            st.booleans().map(lambda ok: ("hard", ok)),
-            st.tuples(st.booleans(), st.floats(0, 0.99)).map(lambda t: ("soft", *t)),
-        ),
-        max_size=5,
-    )
-)
-def test_penalty_product_bounds_and_semantics(specs):
-    constraints = []
-    for i, spec in enumerate(specs):
-        if spec[0] == "hard":
-            constraints.append(ConstraintSpec(f"h{i}", predicate=lambda c, ok=spec[1]: ok))
-        else:
-            constraints.append(
-                ConstraintSpec(
-                    f"s{i}",
-                    predicate=lambda c, ok=spec[1]: ok,
-                    beta=lambda c, b=spec[2]: b,
-                )
-            )
-    x = cand(0.0)
-    product = penalty_product(constraints, x)
-    assert 0.0 <= product <= 1.0
-    if all_satisfied(constraints, x):
-        assert product == 1.0
-    else:
-        assert product < 1.0
-    if any(s[0] == "hard" and not s[1] for s in specs):
-        assert product == 0.0
+class TestTotalViolation:
+    def test_satisfied_constraints_add_nothing(self):
+        measured = ConstraintSpec("m", lambda c: c["x"] <= 1, violation=lambda c: c["x"] - 1)
+        assert total_violation((always_true, measured), cand(0.5)) == 0.0
+
+    def test_measured_amount_or_one_per_missed_constraint(self):
+        measured = ConstraintSpec("m", lambda c: c["x"] <= 1, violation=lambda c: c["x"] - 1)
+        assert total_violation((measured,), cand(3.0)) == 2.0
+        assert total_violation((measured, always_false_hard, always_true), cand(3.0)) == 3.0
+
+
+def test_hard_constraints_are_those_without_beta():
+    space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
+    problem = Problem(space, lambda c: (0.0,), ("q",), (always_true, soft(0.5), always_false_hard))
+    assert problem.hard_constraints == (always_true, always_false_hard)
 
 
 class TestEvaluateCandidate:
@@ -133,10 +116,11 @@ class TestEvaluateCandidate:
             evaluate_candidate(self.problem(boom), Candidate({"x": 0.5}))
 
 
-def test_objective_specs_are_one_indexed_and_unique():
-    specs = make_objectives(["latency", "memory"])
-    assert [s.index for s in specs] == [1, 2]
+def test_objective_names_are_ordered_and_unique():
+    space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
+    problem = Problem(space, lambda c: (0.0, 0.0), ["latency", "memory"])
+    assert problem.objective_names == ("latency", "memory")
     with pytest.raises(ValueError):
-        make_objectives(["a", "a"])
+        Problem(space, lambda c: (0.0, 0.0), ["a", "a"])
     with pytest.raises(ValueError):
-        make_objectives([])
+        Problem(space, lambda c: (), [])

@@ -7,7 +7,6 @@ from moboga.topsis import (
     COST,
     DecisionMatrix,
     TopsisError,
-    topsis_pick_best,
     topsis_rank,
 )
 
@@ -42,6 +41,15 @@ def oracle_topsis(x, weights, directions):
 
 def equal_weights(n):
     return np.full(n, 1.0 / n)
+
+
+def pick_best(points, directions, weights=None):
+    """Index of the top-ranked point; uniform weights unless given."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if weights is None:
+        weights = equal_weights(points.shape[1])
+    dm = DecisionMatrix(points, np.asarray(weights, dtype=float), tuple(directions))
+    return int(topsis_rank(dm).ranking[0])
 
 
 class TestRank:
@@ -89,7 +97,7 @@ class TestRank:
 
 class TestPickBest:
     def test_singleton(self):
-        assert topsis_pick_best([[1.0, 2.0]], (COST, COST)) == 0
+        assert pick_best([[1.0, 2.0]], (COST, COST)) == 0
 
     def test_symmetric_cost_front_is_a_full_tie(self):
         # rows all sum to 10, so the weighted normalized points are collinear
@@ -98,26 +106,26 @@ class TestPickBest:
         pts = [(1.0, 9.0), (5.0, 5.0), (9.0, 1.0)]
         oc, orank = oracle_topsis(pts, equal_weights(2), (COST, COST))
         assert oc == pytest.approx([0.5, 0.5, 0.5])
-        assert topsis_pick_best(pts, (COST, COST)) == orank[0] == 0
+        assert pick_best(pts, (COST, COST)) == orank[0] == 0
 
     def test_symmetric_benefit_front_is_a_full_tie(self):
         pts = [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)]
         oc, orank = oracle_topsis(pts, equal_weights(2), (BENEFIT, BENEFIT))
         assert oc == pytest.approx([0.5, 0.5, 0.5])
-        assert topsis_pick_best(pts, (BENEFIT, BENEFIT)) == orank[0] == 0
+        assert pick_best(pts, (BENEFIT, BENEFIT)) == orank[0] == 0
 
     def test_asymmetric_balanced_point_wins(self):
         # break the constant-sum symmetry: the balanced point now dominates
         # the closeness ordering as the extremes trade one criterion away
         pts = [(1.0, 9.5), (5.0, 5.0), (9.5, 1.0)]
-        assert topsis_pick_best(pts, (COST, COST)) == 1
+        assert pick_best(pts, (COST, COST)) == 1
         _, orank = oracle_topsis(pts, equal_weights(2), (COST, COST))
         assert orank[0] == 1
 
     def test_weights_shift_the_pick(self):
         pts = [(1.0, 9.0), (9.0, 1.0)]
-        assert topsis_pick_best(pts, (COST, COST), weights=[0.95, 0.05]) == 0
-        assert topsis_pick_best(pts, (COST, COST), weights=[0.05, 0.95]) == 1
+        assert pick_best(pts, (COST, COST), weights=[0.95, 0.05]) == 0
+        assert pick_best(pts, (COST, COST), weights=[0.05, 0.95]) == 1
 
 
 matrix_strategy = st.integers(0, 2**31 - 1)
