@@ -19,7 +19,7 @@ from .engine import (
     run,
     stop_check,
 )
-from .nsga2 import GaConfig, Individual, nsga2_run
+from .nsga2 import GaConfig, nsga2_run
 from .objectives import (
     ConstraintSpec,
     EvaluationError,
@@ -76,7 +76,6 @@ __all__ = [
     "GaConfig",
     "GpHyperParams",
     "GpModel",
-    "Individual",
     "NoFeasibleResultError",
     "Observation",
     "Problem",

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -190,24 +191,21 @@ def _build_problem(settings: dict[str, Any], cli_problem: Optional[str]) -> Prob
             problem = get_problem(name)
         except BenchmarkConfigError as exc:
             raise ConfigError(f"problem.name: {exc}") from exc
-    else:
-        # evaluator-by-name over a custom space
-        if settings["space"] is None:
-            raise ConfigError("problem.evaluator: needs [param.*] sections for the space")
+    elif settings["space"] is None:
+        raise ConfigError("problem.evaluator: needs [param.*] sections for the space")
+    if evaluator_name is not None:
         if evaluator_name not in EVALUATORS:
             raise ConfigError(f"problem.evaluator: unknown evaluator {evaluator_name!r}")
         evaluator, objective_names = EVALUATORS[evaluator_name]
-        problem = Problem(
-            settings["space"], evaluator, objective_names, (), name=evaluator_name
-        )
-
-    if evaluator_name is not None and name is not None:
-        if evaluator_name not in EVALUATORS:
-            raise ConfigError(f"problem.evaluator: unknown evaluator {evaluator_name!r}")
-        evaluator, objective_names = EVALUATORS[evaluator_name]
-        problem = dataclasses.replace(
-            problem, evaluator=evaluator, objective_names=objective_names
-        )
+        if name is None:
+            # evaluator-by-name over a custom space
+            problem = Problem(
+                settings["space"], evaluator, objective_names, (), name=evaluator_name
+            )
+        else:
+            problem = dataclasses.replace(
+                problem, evaluator=evaluator, objective_names=objective_names
+            )
     if settings.get("constraints") is not None:
         cname = settings["constraints"]
         if cname not in CONSTRAINT_SETS:
@@ -344,16 +342,13 @@ def _csv_value(v) -> str:
 def cmd_front(args: argparse.Namespace) -> int:
     record = load_record(args.record)
     header, rows = _front_rows(record)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"front data written to {args.out} ({len(rows)} rows)")
-    else:
-        w = csv.writer(sys.stdout, lineterminator="\n")
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+    if args.out:
+        print(f"front data written to {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 

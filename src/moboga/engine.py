@@ -191,8 +191,8 @@ def propose_next(
         return np.array([-ca_ei(ctx, cand) for ctx in contexts])
 
     ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
-    population, part = nsga2_run(score_fn, ga_cfg, space)
-    pm = [(decode(space, population[i].genome), -population[i].scores) for i in part.fronts[0]]
+    genomes, scores, part = nsga2_run(score_fn, ga_cfg, space)
+    pm = [(decode(space, genomes[i]), -scores[i]) for i in part.fronts[0]]
 
     ordered = _rank_pool(pm, cfg.next_pick)
     fresh: list[Candidate] = []

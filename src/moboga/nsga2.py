@@ -1,10 +1,12 @@
 """Elitist NSGA-II over real genomes in the unit cube.
 
-Each generation merges parents and offspring, sorts the combined population by
-non-domination, fills the next parent set front by front, and truncates the
-last partially fitting front by descending crowding distance (ties keep the
-lower index, so equal seeds replay bit for bit). Variation is binary
-tournament selection, simulated binary crossover, and polynomial mutation.
+The population is two arrays, genomes (n, d) and scores (n, k); rank and
+crowding come from the FrontPartition of the last sort. Each generation merges
+parents and offspring, sorts the combined population by non-domination, fills
+the next parent set front by front, and truncates the last partially fitting
+front by descending crowding distance (ties keep the lower index, so equal
+seeds replay bit for bit). Variation is binary tournament selection, simulated
+binary crossover, and polynomial mutation; score_fn is called once per genome.
 """
 from __future__ import annotations
 
@@ -42,21 +44,15 @@ class GaConfig:
             raise ValueError("distribution indices must be positive")
 
 
-@dataclass
-class Individual:
-    genome: np.ndarray
-    scores: np.ndarray
-    rank: int = 0
-    crowding: float = 0.0
-
-
-def tournament_select(a: Individual, b: Individual, rng: np.random.Generator) -> Individual:
+def tournament_select(
+    rank: np.ndarray, crowding: np.ndarray, i: int, j: int, rng: np.random.Generator
+) -> int:
     """Lower rank wins; equal rank prefers larger crowding; full tie flips a coin."""
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a if rng.random() < 0.5 else b
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i if rng.random() < 0.5 else j
 
 
 def sbx_crossover(
@@ -100,49 +96,43 @@ def polynomial_mutation(
     return np.clip(out, 0.0, 1.0)
 
 
-def _make_individual(genome: np.ndarray, score_fn: ScoreFn) -> Individual:
-    scores = np.asarray(score_fn(genome), dtype=float).reshape(-1)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError(f"score_fn returned non-finite scores {scores} for genome {genome}")
-    return Individual(genome=np.asarray(genome, dtype=float), scores=scores)
+def _score(genomes: np.ndarray, score_fn: ScoreFn) -> np.ndarray:
+    rows = []
+    for genome in genomes:
+        rows.append(np.asarray(score_fn(genome), dtype=float).reshape(-1))
+        if not np.all(np.isfinite(rows[-1])):
+            raise ValueError(f"score_fn returned non-finite scores {rows[-1]} for genome {genome}")
+    return np.array(rows)
 
 
-def _apply_partition(pop: list[Individual], part: FrontPartition) -> None:
-    for i, ind in enumerate(pop):
-        ind.rank = int(part.rank[i])
-        ind.crowding = float(part.crowding[i])
-
-
-def _survival(merged: list[Individual], n: int) -> list[Individual]:
-    part = fast_nondominated_sort([ind.scores for ind in merged])
-    _apply_partition(merged, part)
-    survivors: list[Individual] = []
+def _survival(scores: np.ndarray, n: int) -> tuple[np.ndarray, FrontPartition]:
+    """Indices of the n survivors of the merged population, and its partition."""
+    part = fast_nondominated_sort(scores)
+    survivors: list[int] = []
     for front in part.fronts:
         if len(survivors) + len(front) <= n:
-            survivors.extend(merged[i] for i in front)
+            survivors.extend(front)
         else:
-            room = n - len(survivors)
-            order = np.argsort([-merged[i].crowding for i in front], kind="stable")
-            survivors.extend(merged[front[j]] for j in order[:room])
+            order = np.argsort(-part.crowding[front], kind="stable")
+            survivors.extend(front[j] for j in order[: n - len(survivors)])
             break
-    return survivors
+    return np.array(survivors), part
 
 
 def _variation(
-    parents: list[Individual], cfg: GaConfig, rng: np.random.Generator, score_fn: ScoreFn
-) -> list[Individual]:
-    n = len(parents)
-    offspring: list[Individual] = []
-    while len(offspring) < n:
-        chosen = []
+    genomes: np.ndarray, rank: np.ndarray, crowding: np.ndarray, cfg: GaConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    n = len(genomes)
+    children: list[np.ndarray] = []
+    while len(children) < n:
+        pair = []
         for _ in range(2):
             i, j = rng.integers(n), rng.integers(n)
-            chosen.append(tournament_select(parents[int(i)], parents[int(j)], rng))
-        g1, g2 = sbx_crossover(chosen[0].genome, chosen[1].genome, cfg, rng)
-        for g in (g1, g2):
-            if len(offspring) < n:
-                offspring.append(_make_individual(polynomial_mutation(g, cfg, rng), score_fn))
-    return offspring
+            pair.append(genomes[tournament_select(rank, crowding, int(i), int(j), rng)])
+        for g in sbx_crossover(pair[0], pair[1], cfg, rng):  # n is even
+            children.append(polynomial_mutation(g, cfg, rng))
+    return np.array(children)
 
 
 def nsga2_run(
@@ -150,26 +140,22 @@ def nsga2_run(
     cfg: GaConfig,
     space: SearchSpace,
     initial_genomes: Sequence[np.ndarray] | None = None,
-) -> tuple[list[Individual], FrontPartition]:
-    """Run the configured number of generations; returns the final parent
-    population and its front partition. Deterministic given cfg.seed."""
-    dim = space.encoded_dim
+) -> tuple[np.ndarray, np.ndarray, FrontPartition]:
+    """Run the configured number of generations; returns the final parents'
+    genomes (n, d), their scores (n, k) and their front partition.
+    Deterministic given cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.population_size
-
-    genomes = rng.random((n, dim))
+    genomes = rng.random((n, space.encoded_dim))
     if initial_genomes is not None:
         for i, g in enumerate(list(initial_genomes)[:n]):
             genomes[i] = np.clip(np.asarray(g, dtype=float), 0.0, 1.0)
-    population = [_make_individual(g, score_fn) for g in genomes]
-    _apply_partition(population, fast_nondominated_sort([ind.scores for ind in population]))
-    offspring = _variation(population, cfg, rng, score_fn)
-
-    for gen in range(cfg.generations):
-        population = _survival(population + offspring, n)
-        if gen < cfg.generations - 1:
-            offspring = _variation(population, cfg, rng, score_fn)
-
-    part = fast_nondominated_sort([ind.scores for ind in population])
-    _apply_partition(population, part)
-    return population, part
+    scores = _score(genomes, score_fn)
+    keep, part = np.arange(n), fast_nondominated_sort(scores)
+    for _ in range(cfg.generations):
+        children = _variation(genomes, part.rank[keep], part.crowding[keep], cfg, rng)
+        merged = np.vstack([genomes, children])
+        merged_scores = np.vstack([scores, _score(children, score_fn)])
+        keep, part = _survival(merged_scores, n)
+        genomes, scores = merged[keep], merged_scores[keep]
+    return genomes, scores, fast_nondominated_sort(scores)

@@ -47,34 +47,25 @@ def _domination_matrix(scores: np.ndarray) -> np.ndarray:
 
 
 def fast_nondominated_sort(pop) -> FrontPartition:
-    """Peel fronts using domination counts and dominated sets.
+    """Peel fronts from the domination matrix.
 
-    For each member p: S_p collects the members p dominates and n_p counts the
-    members dominating p; n_p == 0 puts p on the first front, and removing a
-    front decrements the counts of everything it dominates to reveal the next.
+    counts[q] is the number of members dominating q. The members with no
+    dominator left and no rank yet form the next front; removing that front
+    subtracts its rows of the matrix from the counts to reveal the one after.
     """
     scores = _as_score_matrix(pop)
     n = scores.shape[0]
     dom = _domination_matrix(scores)
-    dominated_by_p = [np.nonzero(dom[p])[0] for p in range(n)]
-    counts = dom.sum(axis=0).astype(int)
+    counts = dom.sum(axis=0)
 
     rank = np.zeros(n, dtype=int)
     fronts: list[list[int]] = []
-    current = [p for p in range(n) if counts[p] == 0]
-    level = 1
-    while current:
-        for p in current:
-            rank[p] = level
-        fronts.append(current)
-        nxt: list[int] = []
-        for p in current:
-            for q in dominated_by_p[p]:
-                counts[q] -= 1
-                if counts[q] == 0:
-                    nxt.append(int(q))
-        current = sorted(nxt)
-        level += 1
+    front = np.flatnonzero(counts == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        rank[front] = len(fronts)
+        counts -= dom[front].sum(axis=0)
+        front = np.flatnonzero((counts == 0) & (rank == 0))
 
     crowding = np.zeros(n)
     for front in fronts:

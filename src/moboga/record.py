@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, IO, Optional, Sequence
@@ -23,6 +24,7 @@ from .space import (
     ContinuousParam,
     DiscreteParam,
     SearchSpace,
+    encode,
 )
 
 FORMAT_VERSION = 1
@@ -145,6 +147,26 @@ class LoadedRecord:
         return self.header.get("weights")
 
 
+def _check_weights(weights: Any, k: int) -> None:
+    if weights is not None and not (
+        isinstance(weights, list) and len(weights) == k
+        and all(type(w) in (int, float) and 0 < w < math.inf for w in weights)
+    ):
+        raise ValueError(
+            f"weights {weights!r}: need null or one finite positive number per objective"
+        )
+
+
+def _check_result(result: dict[str, Any], n_observations: int) -> None:
+    pof = result["pof"]
+    if not all(0 <= i < n_observations for i in pof):
+        raise ValueError(f"pof {pof} has an index outside the {n_observations} observations")
+    if result["best_index"] not in pof:
+        raise ValueError(f"best_index {result['best_index']} is not in pof")
+    if set(result["closeness"]) != set(pof):
+        raise ValueError("closeness keys differ from the pof indices")
+
+
 def load_record(path: str) -> LoadedRecord:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -182,16 +204,21 @@ def load_record(path: str) -> LoadedRecord:
     try:
         space = space_from_json(header["space"])
         header["objective_names"] = list(header["objective_names"])
+        _check_weights(header.get("weights"), len(header["objective_names"]))
         for lineno, doc in docs[1:]:
             kind = doc.get("kind")
             if kind == "observation":
+                candidate = Candidate(dict(doc["values"]))
+                encoded = encode(space, candidate)
+                if not np.array_equal(np.asarray(doc["encoded"], dtype=float), encoded):
+                    raise ValueError(f"encoded {doc['encoded']!r} does not match values")
                 archive.append(
                     Observation(
-                        candidate=Candidate(dict(doc["values"])),
+                        candidate=candidate,
                         objectives=np.asarray(doc["objectives"], dtype=float),
                         feasible=bool(doc["feasible"]),
                         iteration=int(doc["iteration"]),
-                        encoded=np.asarray(doc["encoded"], dtype=float),
+                        encoded=encoded,
                     )
                 )
             elif kind == "result":
@@ -201,6 +228,7 @@ def load_record(path: str) -> LoadedRecord:
                 result["pof"] = [int(i) for i in result["pof"]]
                 result["best_index"] = int(result["best_index"])
                 result["closeness"] = {int(i): float(v) for i, v in result["closeness"]}
+                _check_result(result, len(archive))
             else:
                 raise RecordError(f"record {path!r}: unknown line kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:

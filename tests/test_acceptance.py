@@ -228,8 +228,8 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
     for problem in (binh_korn_problem(), constr_ex_problem()):
         score = penalized_score_fn(problem)
         cfg = GaConfig(population_size=100, generations=50, seed=11)
-        pop, part = nsga2_run(score, cfg, problem.space)
-        front = np.vstack([pop[i].scores for i in part.fronts[0]])
+        genomes, scores, part = nsga2_run(score, cfg, problem.space)
+        front = np.vstack([scores[i] for i in part.fronts[0]])
         oracle = grid_reference_front(problem, 400)
         gd = generational_distance(front, oracle)
         diag = objective_diagonal(oracle)
@@ -237,10 +237,11 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
         details.append(f"{problem.name} GD {100 * gd / diag:.3f}%")
 
         # equal seeds replay bitwise
-        pop_b, _ = nsga2_run(score, cfg, problem.space)
-        for a, b in zip(pop, pop_b):
-            assert np.array_equal(a.genome, b.genome)
-            assert np.array_equal(a.scores, b.scores)
+        genomes_b, scores_b, _ = nsga2_run(score, cfg, problem.space)
+        for a, b in zip(genomes, genomes_b):
+            assert np.array_equal(a, b)
+        for a, b in zip(scores, scores_b):
+            assert np.array_equal(a, b)
 
     # elitism: an injected utopian individual survives every generation
     space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
@@ -249,13 +250,13 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
         d = abs(g[0] - 0.5)
         return [1.0 + d, 1.0 + d]
 
-    pop, part = nsga2_run(
+    _, scores, _ = nsga2_run(
         score_fn,
         GaConfig(population_size=12, generations=25, seed=5),
         space,
         initial_genomes=[np.array([0.5])],
     )
-    assert any(np.array_equal(ind.scores, [1.0, 1.0]) for ind in pop)
+    assert any(np.array_equal(s, [1.0, 1.0]) for s in scores)
     report("9 NSGA-II benchmarks", "; ".join(details))
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from moboga.cli import (
@@ -15,7 +16,7 @@ from moboga.nsga2 import GaConfig
 from moboga.objectives import ConstraintSpec, Problem
 from moboga.problems import binh_korn_problem
 from moboga.record import RunRecordWriter, load_record
-from moboga.space import ContinuousParam, SearchSpace
+from moboga.space import CategoricalParam, ContinuousParam, DiscreteParam, SearchSpace
 
 
 def run_args(tmp_path, *extra):
@@ -262,6 +263,64 @@ class TestFront:
         assert "line 3" in err and "pof" in err
 
 
+    @pytest.mark.parametrize(
+        "values, culprit",
+        [({"x": 99.0}, "'x'"), ({"x": 0.5, "z": 1.0}, "'z'")],
+        ids=["outside-bounds", "extra-parameter"],
+    )
+    def test_observation_outside_the_space_is_a_runtime_error(
+        self, tmp_path, capsys, values, culprit
+    ):
+        bad = dict(self.OBSERVATION, values=values)
+        assert self.front_of(tmp_path, self.HEADER, bad) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 2" in err and culprit in err
+
+    def test_encoded_copied_from_another_line_is_a_runtime_error(self, tmp_path, capsys):
+        second = dict(self.OBSERVATION, iteration=1, values={"x": 0.25})  # keeps [0.5]
+        assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, second) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3" in err and "encoded" in err and "duplicate" not in err
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, "a"], [1.0, True], [1.0, float("inf")], "1, 1"],
+    )
+    def test_header_with_bad_weights_is_a_runtime_error(self, tmp_path, capsys, weights):
+        header = dict(self.HEADER, objective_names=["q", "r"], weights=weights)
+        obs = dict(self.OBSERVATION, objectives=[1.0, 2.0])
+        assert self.front_of(tmp_path, header, obs) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 1" in err and "weights" in err
+
+    RESULT = {
+        "kind": "result",
+        "pof": [0],
+        "best_index": 0,
+        "closeness": [[0, 1.0]],
+        "stop_reason": "max_iterations",
+        "iterations_used": 1,
+    }
+
+    @pytest.mark.parametrize(
+        "change, culprit",
+        [
+            ({"closeness": []}, "closeness"),
+            ({"pof": [0, 999], "best_index": 999, "closeness": [[0, 1.0], [999, 0.5]]},
+             "outside"),
+            ({"best_index": 5}, "best_index"),
+        ],
+        ids=["closeness-misses-pof", "pof-outside-archive", "best-not-on-front"],
+    )
+    def test_result_line_inconsistent_with_the_archive_is_a_runtime_error(
+        self, tmp_path, capsys, change, culprit
+    ):
+        result = dict(self.RESULT, **change)
+        assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, result) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3" in err and culprit in err
+
+
 class TestVerify:
     def test_unknown_name_is_a_config_error(self, tmp_path):
         assert main(["verify", "unknown-thing", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -300,3 +359,39 @@ class TestRecordRoundTrip:
         assert replayed.pof == result.pof
         assert replayed.best_index == result.best_index
         assert replayed.closeness == pytest.approx(result.closeness)
+
+    def test_mixed_space_record_reloads_with_the_same_encodings(self, tmp_path):
+        space = SearchSpace((
+            ContinuousParam("rate", 0.0, 0.6),
+            DiscreteParam("width", (16, 32, 64)),
+            CategoricalParam("act", ("relu", "tanh", "gelu")),
+        ))
+        problem = Problem(
+            space,
+            lambda c: (c["rate"] + c["width"] / 64, float(c["act"] == "relu") - c["rate"]),
+            ("a", "b"),
+        )
+        cfg = EngineConfig(
+            n_initial=4, max_iterations=6, ga=GaConfig(population_size=8, generations=2),
+            seed=3,
+        )
+        path = tmp_path / "r.jsonl"
+        with open(path, "w") as fh:
+            writer = RunRecordWriter(
+                fh,
+                problem_name="mixed",
+                space=space,
+                objective_names=problem.objective_names,
+                constraint_names=[],
+                cfg=cfg,
+                weights=[1, 2.5],
+            )
+            archive = explore(problem, cfg, on_observation=writer.observation)
+            writer.result(exploit(archive, [1, 2.5]))
+
+        record = load_record(str(path))
+        assert record.weights == [1, 2.5]
+        assert len(record.archive) == len(archive)
+        for got, want in zip(record.archive.observations, archive.observations):
+            assert got.candidate.values == want.candidate.values
+            assert np.array_equal(got.encoded, want.encoded)

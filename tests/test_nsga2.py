@@ -3,7 +3,7 @@ import pytest
 
 from moboga.nsga2 import (
     GaConfig,
-    Individual,
+    _survival,
     nsga2_run,
     polynomial_mutation,
     sbx_crossover,
@@ -20,8 +20,9 @@ def space_2d():
     return SearchSpace((ContinuousParam("x", 0.0, 1.0), ContinuousParam("y", 0.0, 1.0)))
 
 
-def ind(rank, crowding):
-    return Individual(genome=np.zeros(1), scores=np.zeros(1), rank=rank, crowding=crowding)
+def pick(ranks, crowdings, rng):
+    """Tournament between members 0 and 1; returns the winner's index."""
+    return tournament_select(np.array(ranks), np.array(crowdings, dtype=float), 0, 1, rng)
 
 
 class TestConfig:
@@ -48,17 +49,18 @@ class TestConfig:
 class TestTournament:
     def test_lower_rank_wins(self):
         rng = np.random.default_rng(0)
-        assert tournament_select(ind(1, 0.1), ind(2, 9.9), rng).rank == 1
+        rank = np.array([1, 2])
+        assert rank[pick([1, 2], [0.1, 9.9], rng)] == 1
 
     def test_equal_rank_prefers_crowding(self):
         rng = np.random.default_rng(0)
-        winner = tournament_select(ind(1, np.inf), ind(1, 1.0), rng)
-        assert winner.crowding == np.inf
+        crowding = np.array([np.inf, 1.0])
+        winner = pick([1, 1], crowding, rng)
+        assert crowding[winner] == np.inf
 
     def test_full_tie_is_a_fair_coin(self):
         rng = np.random.default_rng(1)
-        a, b = ind(1, 1.0), ind(1, 1.0)
-        picks_a = sum(tournament_select(a, b, rng) is a for _ in range(10_000))
+        picks_a = sum(pick([1, 1], [1.0, 1.0], rng) == 0 for _ in range(10_000))
         assert abs(picks_a / 10_000 - 0.5) < 0.05
 
 
@@ -129,26 +131,50 @@ class TestMutation:
         assert np.mean(deltas) < 0.1
 
 
+class TestSurvival:
+    def test_whole_fronts_then_partial_front_by_descending_crowding(self):
+        scores = np.array([
+            [0.0, 1.0],  # 0: front 1
+            [0.5, 0.5],  # 1: front 1
+            [2.0, 3.0],  # 2: front 2, interior
+            [4.0, 1.0],  # 3: front 2, boundary (inf)
+            [3.0, 2.0],  # 4: front 2, interior, same crowding as 2
+            [1.0, 4.0],  # 5: front 2, boundary (inf)
+            [6.0, 6.0],  # 6: front 3
+        ])
+        keep, part = _survival(scores, 5)
+        assert part.fronts == [[0, 1], [2, 3, 4, 5], [6]]
+        assert np.isinf(part.crowding[[3, 5]]).all()
+        assert np.isfinite(part.crowding[2]) and part.crowding[2] == part.crowding[4]
+        # front 1 whole; front 2 cut to its two inf members, then the lower
+        # index of the tied interior pair
+        assert keep.tolist() == [0, 1, 3, 5, 2]
+        # a front that fills the population exactly leaves no partial front
+        assert _survival(scores, 2)[0].tolist() == [0, 1]
+
+
 class TestRun:
     def test_single_objective_parabola_converges(self):
         cfg = GaConfig(population_size=40, generations=50, seed=0)
-        pop, part = nsga2_run(lambda g: [(g[0] - 0.5) ** 2], cfg, space_1d())
-        best = min(pop, key=lambda i: i.scores[0])
-        assert abs(best.genome[0] - 0.5) < 0.02
+        genomes, scores, part = nsga2_run(lambda g: [(g[0] - 0.5) ** 2], cfg, space_1d())
+        best = np.argmin(scores[:, 0])
+        assert abs(genomes[best, 0] - 0.5) < 0.02
 
     def test_population_size_constant_after_survival(self):
         cfg = GaConfig(population_size=20, generations=5, seed=1)
-        pop, _ = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_1d())
-        assert len(pop) == 20
+        genomes, scores, _ = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_1d())
+        assert len(genomes) == 20
+        assert len(scores) == 20
 
     def test_equal_seeds_replay_bitwise(self):
         cfg = GaConfig(population_size=16, generations=8, seed=9)
         score = lambda g: [g[0] ** 2 + g[1], (1 - g[0]) ** 2]
-        pop_a, _ = nsga2_run(score, cfg, space_2d())
-        pop_b, _ = nsga2_run(score, cfg, space_2d())
-        for a, b in zip(pop_a, pop_b):
-            assert np.array_equal(a.genome, b.genome)
-            assert np.array_equal(a.scores, b.scores)
+        genomes_a, scores_a, _ = nsga2_run(score, cfg, space_2d())
+        genomes_b, scores_b, _ = nsga2_run(score, cfg, space_2d())
+        for a, b in zip(genomes_a, genomes_b):
+            assert np.array_equal(a, b)
+        for a, b in zip(scores_a, scores_b):
+            assert np.array_equal(a, b)
 
     def test_elitism_keeps_an_injected_utopian_individual(self):
         # the genome at 0.5 scores (1, 1) and strictly dominates everything else
@@ -157,11 +183,11 @@ class TestRun:
             return [1.0 + d, 1.0 + d]
 
         cfg = GaConfig(population_size=12, generations=20, seed=4)
-        pop, part = nsga2_run(
+        genomes, scores, part = nsga2_run(
             score, cfg, space_1d(), initial_genomes=[np.array([0.5])]
         )
-        assert any(ind.scores[0] == 1.0 and ind.scores[1] == 1.0 for ind in pop)
-        first_front_scores = [pop[i].scores for i in part.fronts[0]]
+        assert any(s[0] == 1.0 and s[1] == 1.0 for s in scores)
+        first_front_scores = [scores[i] for i in part.fronts[0]]
         assert all(s[0] == 1.0 for s in first_front_scores)
 
     def test_non_finite_scores_abort_with_diagnostic(self):
@@ -171,7 +197,7 @@ class TestRun:
 
     def test_final_partition_is_consistent_with_population(self):
         cfg = GaConfig(population_size=16, generations=6, seed=2)
-        pop, part = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_2d())
+        genomes, scores, part = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_2d())
         assert sorted(i for front in part.fronts for i in front) == list(range(16))
-        for ind in pop:
-            assert ind.rank >= 1
+        for rank in part.rank:
+            assert rank >= 1
