@@ -5,7 +5,7 @@ improvement; NSGA-II searches the acquisition vector for the next query;
 the measured Pareto front is extracted from the archive and TOPSIS recommends
 a single best candidate.
 """
-from .acquisition import AcquisitionContext, ca_ei, expected_improvement
+from .acquisition import ca_ei, expected_improvement
 from .engine import (
     Archive,
     EngineConfig,
@@ -60,7 +60,6 @@ from .topsis import DecisionMatrix, TopsisResult, topsis_rank
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionContext",
     "Archive",
     "BUILTIN_PROBLEMS",
     "Candidate",

@@ -1,15 +1,16 @@
-"""Constraint-aware expected improvement.
+"""Constraint-aware expected improvement over a batch of candidates.
 
 The improvement integral under a Gaussian predictive marginal has the usual
 closed form, so the quadrature lives only in the test suite as an oracle.
 Constraint factors multiply the result: indicator (0/1) for hard constraints,
-beta in [0, 1) for violated soft ones.
+beta in [0, 1) for violated soft ones. Their product runs once per candidate;
+each objective then takes one posterior over the candidates it leaves above 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtr
 
 from .objectives import ConstraintSpec, soft_factor
@@ -19,38 +20,38 @@ from .surrogate import GpModel, gp_posterior
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def expected_improvement(mu: float, sigma: float, y_best: float) -> float:
-    """EI for minimization: E[max(y_best - Y, 0)] with Y ~ N(mu, sigma^2)."""
-    if sigma < 0:
+def expected_improvement(mu, sigma, y_best):
+    """EI for minimization, elementwise: E[max(y_best - Y, 0)] with Y ~ N(mu, sigma^2)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma < 0):
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    gap = y_best - mu
-    if sigma == 0.0:
-        return max(gap, 0.0)
-    z = gap / sigma
-    ei = gap * float(ndtr(z)) + sigma * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-    return max(ei, 0.0)
+    gap = y_best - np.asarray(mu, dtype=float)
+    z = gap / np.where(sigma > 0, sigma, 1.0)
+    ei = gap * ndtr(z) + sigma * _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    return np.maximum(np.where(sigma > 0, ei, gap), 0.0)
 
 
-@dataclass(frozen=True)
-class AcquisitionContext:
-    """Everything one objective's acquisition needs.
+def ca_ei(
+    models: list[GpModel], y_best: np.ndarray, constraints: tuple[ConstraintSpec, ...],
+    space: SearchSpace, candidates: list[Candidate],
+) -> np.ndarray:
+    """EI of each candidate (rows) under each objective (columns), scaled by
+    the candidate's product of constraint factors; (m, k).
 
-    y_best is the incumbent for this objective: the best (minimum) observed
-    target among feasible observations when any exist, else the global best.
+    y_best[j] is objective j's incumbent: the best (minimum) observed target
+    among feasible observations when any exist, else the global best.
     """
-
-    model: GpModel
-    y_best: float
-    constraints: tuple[ConstraintSpec, ...]
-    space: SearchSpace
-
-
-def ca_ei(ctx: AcquisitionContext, x: Candidate) -> float:
-    """Expected improvement at x scaled by the product of constraint factors."""
-    factor = 1.0
-    for c in ctx.constraints:
-        factor *= soft_factor(c, x)
-        if factor == 0.0:
-            return 0.0
-    mu, sigma = gp_posterior(ctx.model, encode(ctx.space, x))
-    return expected_improvement(mu, sigma, ctx.y_best) * factor
+    factor = np.ones(len(candidates))
+    for i, x in enumerate(candidates):
+        for c in constraints:
+            factor[i] *= soft_factor(c, x)
+            if factor[i] == 0.0:
+                break
+    out = np.zeros((len(candidates), len(models)))
+    live = np.flatnonzero(factor)
+    if live.size:
+        X = np.array([encode(space, candidates[i]) for i in live])
+        for j, model in enumerate(models):
+            mu, sigma = gp_posterior(model, X)
+            out[live, j] = expected_improvement(mu, sigma, y_best[j]) * factor[live]
+    return out

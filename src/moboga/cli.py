@@ -466,28 +466,31 @@ def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    name = args.which
-    if name not in BUILTIN_PROBLEMS:
+    if not args.all and args.which not in BUILTIN_PROBLEMS:
         raise ConfigError(
-            f"unknown benchmark {name!r}; choose from {', '.join(sorted(BUILTIN_PROBLEMS))}"
+            f"unknown benchmark {args.which!r}; choose from {', '.join(sorted(BUILTIN_PROBLEMS))}"
         )
-    out_dir = args.out_dir or f"verify_{name.replace('-', '_')}"
-    os.makedirs(out_dir, exist_ok=True)
-    if name == "sinusoid-1d":
-        passed, metrics = _verify_sinusoid(out_dir)
-    else:
-        passed, metrics = _verify_front_benchmark(name, out_dir)
-    metrics["pass"] = passed
-    with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
-    for key, value in metrics.items():
-        print(f"{key}: {value}")
-    if not passed:
-        print(f"verification FAILED for {name}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    print(f"verification passed for {name}")
-    return EXIT_OK
+    code = EXIT_OK
+    for name in sorted(BUILTIN_PROBLEMS) if args.all else [args.which]:
+        default = f"verify_{name.replace('-', '_')}"
+        out_dir = os.path.join(args.out_dir or "", default) if args.all else args.out_dir or default
+        os.makedirs(out_dir, exist_ok=True)
+        if name == "sinusoid-1d":
+            passed, metrics = _verify_sinusoid(out_dir)
+        else:
+            passed, metrics = _verify_front_benchmark(name, out_dir)
+        metrics["pass"] = passed
+        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
+            json.dump(metrics, fh, indent=2)
+            fh.write("\n")
+        for key, value in metrics.items():
+            print(f"{key}: {value}")
+        if passed:
+            print(f"verification passed for {name}")
+        else:
+            print(f"verification FAILED for {name}", file=sys.stderr)
+            code = EXIT_VERIFY_FAILED
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_front.set_defaults(func=cmd_front)
 
     p_verify = sub.add_parser("verify", help="reproduce a benchmark study and check thresholds")
-    p_verify.add_argument("which", help="binh-korn | constr-ex | sinusoid-1d")
+    study = p_verify.add_mutually_exclusive_group(required=True)
+    study.add_argument("which", nargs="?", help="binh-korn | constr-ex | sinusoid-1d")
+    study.add_argument("--all", action="store_true", help="every study, into <out-dir>/verify_*")
     p_verify.add_argument("--out-dir", help="directory for CSVs and metrics")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -1,13 +1,13 @@
 """The optimization loop: explore the space, then exploit the archive.
 
 Each exploration iteration fits one GP per objective on everything observed so
-far, wraps each posterior in a constraint-aware expected-improvement function,
-and runs NSGA-II over the (negated) acquisition vector. The non-dominated set
-of the final GA population is the informative-candidate pool; TOPSIS picks the
-next query from it. Exploration ends when the proposed point sits within
-``delta`` of something already queried (in encoded space) or when the
-evaluation budget is exhausted. Exploitation extracts the Pareto front of the
-feasible observations and recommends one of them via TOPSIS.
+far and runs NSGA-II over the (negated) constraint-aware expected-improvement
+vector, which ``ca_ei`` scores for a whole GA population in one call. The
+non-dominated set of the final GA population is the informative-candidate
+pool; TOPSIS picks the next query from it. Exploration ends when the proposed
+point sits within ``delta`` of something already queried (in encoded space) or
+when the evaluation budget is exhausted. Exploitation extracts the Pareto front
+of the feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .acquisition import AcquisitionContext, ca_ei
+from .acquisition import ca_ei
 from .nsga2 import GaConfig, nsga2_run
 from .objectives import (
     EvaluationError,
@@ -175,20 +175,14 @@ def propose_next(
         raise EngineError("propose_next needs at least one archived observation")
 
     space = problem.space
-    k = problem.n_objectives
     X = archive.encoded_matrix()
     targets = archive.objective_matrix()
-    pool = archive.feasible_indices() or list(range(len(archive)))
+    models = [gp_fit(X, targets[:, j]) for j in range(problem.n_objectives)]
+    y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
-    contexts = []
-    for j in range(k):
-        model = gp_fit(X, targets[:, j])
-        y_best = float(targets[pool, j].min())
-        contexts.append(AcquisitionContext(model, y_best, problem.constraints, space))
-
-    def score_fn(genome: np.ndarray) -> np.ndarray:
-        cand = decode(space, genome)
-        return np.array([-ca_ei(ctx, cand) for ctx in contexts])
+    def score_fn(genomes: np.ndarray) -> np.ndarray:
+        cands = [decode(space, g) for g in genomes]
+        return -ca_ei(models, y_best, problem.constraints, space, cands)
 
     ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
     genomes, scores, part = nsga2_run(score_fn, ga_cfg, space)

@@ -6,7 +6,8 @@ parents and offspring, sorts the combined population by non-domination, fills
 the next parent set front by front, and truncates the last partially fitting
 front by descending crowding distance (ties keep the lower index, so equal
 seeds replay bit for bit). Variation is binary tournament selection, simulated
-binary crossover, and polynomial mutation; score_fn is called once per genome.
+binary crossover, and polynomial mutation. score_fn scores one population per
+call, (m, d) -> (m, k), and draws nothing from the GA's generator.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from .pareto import FrontPartition, fast_nondominated_sort
 from .space import SearchSpace
 
-ScoreFn = Callable[[np.ndarray], Sequence[float]]
+ScoreFn = Callable[[np.ndarray], np.ndarray]  # genomes (m, d) -> scores (m, k)
 
 
 @dataclass
@@ -40,8 +41,8 @@ class GaConfig:
             p = getattr(self, name)
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.sbx_eta <= 0 or self.pm_eta <= 0:
-            raise ValueError("distribution indices must be positive")
+        if not (0 < self.sbx_eta < np.inf and 0 < self.pm_eta < np.inf):
+            raise ValueError("distribution indices must be positive and finite")
 
 
 def tournament_select(
@@ -97,12 +98,13 @@ def polynomial_mutation(
 
 
 def _score(genomes: np.ndarray, score_fn: ScoreFn) -> np.ndarray:
-    rows = []
-    for genome in genomes:
-        rows.append(np.asarray(score_fn(genome), dtype=float).reshape(-1))
-        if not np.all(np.isfinite(rows[-1])):
-            raise ValueError(f"score_fn returned non-finite scores {rows[-1]} for genome {genome}")
-    return np.array(rows)
+    scores = np.asarray(score_fn(genomes), dtype=float)
+    if scores.ndim != 2 or len(scores) != len(genomes):
+        raise ValueError(f"score_fn returned shape {scores.shape} for {len(genomes)} genomes")
+    if not np.isfinite(scores).all():
+        i = int(np.argmin(np.isfinite(scores).all(axis=1)))  # the first bad row
+        raise ValueError(f"score_fn returned non-finite scores {scores[i]} for genome {genomes[i]}")
+    return scores
 
 
 def _survival(scores: np.ndarray, n: int) -> tuple[np.ndarray, FrontPartition]:

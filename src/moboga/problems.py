@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .objectives import ConstraintSpec, Problem, all_satisfied, total_violation
-from .space import Candidate, ContinuousParam, SearchSpace
+from .space import Candidate, ContinuousParam, SearchSpace, decode
 
 
 class BenchmarkConfigError(ValueError):
@@ -242,20 +242,20 @@ def grid_reference_front(problem: Problem, resolution: int) -> np.ndarray:
 
 
 def penalized_score_fn(problem: Problem, resolution: int = 64):
-    """Score function for raw genetic-algorithm runs on a constrained benchmark.
+    """Score function, (m, d) -> (m, k), for raw GA runs on a constrained benchmark.
 
     Feasible genomes score their true objectives; infeasible ones take a death
     penalty of the grid's feasible-worst value plus the total constraint
     violation in every objective, which keeps them strictly dominated.
     """
-    from .space import decode  # deferred to keep module import light
-
     worst = feasible_grid_objectives(problem, resolution).max(axis=0)
 
-    def score(genome: np.ndarray) -> np.ndarray:
-        cand = decode(problem.space, genome)
-        if all_satisfied(problem.constraints, cand):
-            return np.asarray(problem.evaluator(cand), dtype=float)
-        return worst + total_violation(problem.constraints, cand)
+    def score(genomes: np.ndarray) -> np.ndarray:
+        cands = [decode(problem.space, g) for g in genomes]
+        return np.array([
+            problem.evaluator(c) if all_satisfied(problem.constraints, c)
+            else worst + total_violation(problem.constraints, c)
+            for c in cands
+        ], dtype=float)
 
     return score

@@ -53,7 +53,7 @@ def space_to_json(space: SearchSpace) -> list[dict[str, Any]]:
 def space_from_json(items: Sequence[dict[str, Any]]) -> SearchSpace:
     params = []
     for item in items:
-        kind = item.get("type")
+        kind = item.get("type") if isinstance(item, dict) else None
         if kind == "continuous":
             params.append(ContinuousParam(item["name"], float(item["lo"]), float(item["hi"])))
         elif kind == "discrete":
@@ -61,7 +61,7 @@ def space_from_json(items: Sequence[dict[str, Any]]) -> SearchSpace:
         elif kind == "categorical":
             params.append(CategoricalParam(item["name"], tuple(item["labels"])))
         else:
-            raise RecordError(f"unknown parameter type {kind!r} in record")
+            raise ValueError(f"space entry {item!r} is not an object with a known type")
     return SearchSpace(tuple(params))
 
 

@@ -9,6 +9,7 @@ encoding.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -142,9 +143,9 @@ def validate_candidate(space: SearchSpace, c: Candidate) -> None:
             raise ValidationError(f"parameter {p.name!r}: missing from candidate")
         v = c.values[p.name]
         if isinstance(p, ContinuousParam):
-            if not (np.isreal(v) and np.isfinite(v) and p.lo <= v <= p.hi):
+            if not (isinstance(v, numbers.Real) and np.isfinite(v) and p.lo <= v <= p.hi):
                 raise ValidationError(
-                    f"parameter {p.name!r}: {v!r} outside [{p.lo}, {p.hi}]"
+                    f"parameter {p.name!r}: {v!r} is not a real number in [{p.lo}, {p.hi}]"
                 )
         elif isinstance(p, DiscreteParam):
             p.rank_of(v)

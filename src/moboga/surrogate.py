@@ -5,7 +5,9 @@ length scales; targets are centered and scaled before fitting and predictions
 are mapped back on output, so fixed hyperparameters refer to the standardized
 target scale. Hyperparameters are chosen by maximizing the log marginal
 likelihood with a seeded multi-start coordinate pattern search (archive sizes
-stay small enough that exact solves are cheap).
+stay small enough that exact solves are cheap). The posterior is taken over a
+matrix of test inputs at once (GPML Alg. 2.1): one kernel block and one
+triangular solve serve every row.
 """
 from __future__ import annotations
 
@@ -186,14 +188,9 @@ def gp_fit(
     return GpModel(X, y, hyper, L, alpha, y_mean, y_scale, ev)
 
 
-def gp_posterior(m: GpModel, x: np.ndarray) -> tuple[float, float]:
-    """Predictive mean and standard deviation of the latent function at x."""
-    mu, sigma = gp_posterior_many(m, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(mu[0]), float(sigma[0])
-
-
-def gp_posterior_many(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized posterior over the rows of X (q, d) -> (mu (q,), sigma (q,))."""
+def gp_posterior(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and standard deviation of the latent function at each
+    row of X: (q, d) -> (mu (q,), sigma (q,)); a 1-D X is one row."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != m.train_inputs.shape[1]:
         raise ValueError(

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from moboga.acquisition import AcquisitionContext, ca_ei, expected_improvement
+from moboga.acquisition import ca_ei, expected_improvement
 from moboga.cli import main
 from moboga.engine import (
     Archive,
@@ -153,13 +153,14 @@ def test_criterion_6_ca_ei_against_quadrature():
     )
     hard = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5)
     soft0 = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5, beta=lambda c: 0.0)
-    ctx_hard = AcquisitionContext(model, 1.0, (hard,), space)
-    ctx_soft = AcquisitionContext(model, 1.0, (soft0,), space)
-    for x in np.linspace(0.0, 1.0, 41):
-        cand = Candidate({"x": float(x)})
-        assert ca_ei(ctx_hard, cand) == ca_ei(ctx_soft, cand)  # exact equality
+    xs = np.linspace(0.0, 1.0, 41)
+    cands = [Candidate({"x": float(x)}) for x in xs]
+    by_hard = ca_ei([model], [1.0], (hard,), space, cands)[:, 0]
+    by_soft = ca_ei([model], [1.0], (soft0,), space, cands)[:, 0]
+    for x, a, b in zip(xs, by_hard, by_soft):
+        assert a == b  # exact equality
         if x >= 0.5:
-            assert ca_ei(ctx_hard, cand) == 0.0
+            assert a == 0.0
     report("6 CA-EI", f"max |closed - quadrature| = {worst:.2e} <= 1e-6")
 
 
@@ -168,15 +169,15 @@ def test_criterion_7_gp_sanity():
     X = np.array([[0.1], [0.45], [0.8]])
     y = np.array([2.0, -1.0, 0.7])
     model = gp_fit(X, y, GpHyperParams(np.array([0.3]), 1.0, 1e-8))
-    for xi, yi in zip(X, y):
-        mu, sigma = gp_posterior(model, xi)
+    mus, sigmas = gp_posterior(model, X)
+    for mu, sigma, yi in zip(mus, sigmas, y):
         assert mu == pytest.approx(yi, abs=1e-4)
         assert sigma <= 1e-3
 
     # variance non-negative on random queries
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        _, sigma = gp_posterior(model, rng.random(1))
+    _, sigmas = gp_posterior(model, rng.random((50, 1)))
+    for sigma in sigmas:
         assert sigma >= 0.0
 
     # three-point dense-solve oracle to 1e-10
@@ -184,8 +185,8 @@ def test_criterion_7_gp_sanity():
     y3 = np.array([1.2, -0.4, 2.2])
     hyper = GpHyperParams(np.array([0.4, 0.5]), 1.3, 1e-6)
     m3 = gp_fit(X3, y3, hyper)
-    for x_star in ([0.1, 0.9], [0.5, 0.5], [0.77, 0.21]):
-        mu, sigma = gp_posterior(m3, x_star)
+    queries = [[0.1, 0.9], [0.5, 0.5], [0.77, 0.21]]
+    for x_star, mu, sigma in zip(queries, *gp_posterior(m3, queries)):
         o_mu, o_sigma = oracle_posterior(X3, y3, hyper, x_star)
         assert mu == pytest.approx(o_mu, abs=1e-10)
         assert sigma == pytest.approx(o_sigma, abs=1e-10)
@@ -247,8 +248,8 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
     space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
 
     def score_fn(g):
-        d = abs(g[0] - 0.5)
-        return [1.0 + d, 1.0 + d]
+        d = np.abs(g[:, :1] - 0.5)
+        return np.hstack([1.0 + d, 1.0 + d])
 
     _, scores, _ = nsga2_run(
         score_fn,

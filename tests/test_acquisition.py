@@ -4,10 +4,18 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from moboga.acquisition import AcquisitionContext, ca_ei, expected_improvement
+from moboga.acquisition import ca_ei, expected_improvement
 from moboga.objectives import ConstraintSpec, all_satisfied
-from moboga.space import Candidate, ContinuousParam, SearchSpace
-from moboga.surrogate import GpHyperParams, gp_fit
+from moboga.space import (
+    Candidate,
+    CategoricalParam,
+    ContinuousParam,
+    DiscreteParam,
+    SearchSpace,
+    encode,
+    sample_uniform,
+)
+from moboga.surrogate import GpHyperParams, gp_fit, gp_posterior
 
 
 def quadrature_ei(mu, sigma, y_best):
@@ -71,51 +79,157 @@ class TestExpectedImprovement:
             assert expected_improvement(mu, sigma, yb) >= 0.0
 
 
-def make_context(constraints=()):
-    space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
+SPACE_1D = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
+
+
+def make_model():
     X = np.array([[0.1], [0.5], [0.9]])
     y = np.array([2.0, 1.0, 3.0])
-    model = gp_fit(X, y, GpHyperParams(np.array([0.3]), 1.0, 1e-6))
-    return AcquisitionContext(model, y_best=1.0, constraints=tuple(constraints), space=space)
+    return gp_fit(X, y, GpHyperParams(np.array([0.3]), 1.0, 1e-6))
+
+
+def score_1d(xs, constraints=()):
+    """ca_ei at each x of xs under the fixed one-objective model (y_best = 1)."""
+    cands = [Candidate({"x": float(x)}) for x in np.atleast_1d(xs)]
+    out = ca_ei([make_model()], [1.0], tuple(constraints), SPACE_1D, cands)
+    assert out.shape == (len(cands), 1)
+    return out[:, 0]
+
+
+class TestExpectedImprovementArrays:
+    def test_elementwise_matches_scalar_calls_and_broadcasts(self):
+        mu = np.array([0.0, 1.0, 2.0, -1.0])
+        sigma = np.array([1.0, 0.0, 0.5, 2.0])
+        got = expected_improvement(mu, sigma, 1.0)
+        assert got.shape == (4,)
+        for i in range(4):
+            assert got[i] == pytest.approx(expected_improvement(mu[i], sigma[i], 1.0), abs=1e-15)
+        # sigma == 0 gives max(gap, 0); a scalar sigma broadcasts over mu
+        assert got[1] == 0.0
+        assert expected_improvement(np.array([0.0, 2.0]), 0.0, 1.0).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError):  # any negative sigma
+            expected_improvement(np.zeros(3), np.array([1.0, -1e-12, 1.0]), 0.0)
 
 
 class TestCaEi:
     def test_no_constraints_equals_plain_ei(self):
-        ctx = make_context()
         cand = Candidate({"x": 0.3})
-        from moboga.space import encode
-        from moboga.surrogate import gp_posterior
-
-        mu, sigma = gp_posterior(ctx.model, encode(ctx.space, cand))
-        assert ca_ei(ctx, cand) == pytest.approx(expected_improvement(mu, sigma, 1.0))
+        mu, sigma = gp_posterior(make_model(), encode(SPACE_1D, cand))
+        assert score_1d(0.3)[0] == pytest.approx(expected_improvement(mu[0], sigma[0], 1.0))
 
     def test_hard_violation_forces_zero(self):
         hard = ConstraintSpec("band", predicate=lambda c: c["x"] < 0.5)
-        ctx = make_context([hard])
-        assert ca_ei(ctx, Candidate({"x": 0.7})) == 0.0
-        assert ca_ei(ctx, Candidate({"x": 0.2})) > 0.0
+        assert score_1d(0.7, [hard])[0] == 0.0
+        assert score_1d(0.2, [hard])[0] > 0.0
 
     def test_soft_half_beta_halves_the_acquisition(self):
         soft = ConstraintSpec("tail", predicate=lambda c: c["x"] < 0.5, beta=lambda c: 0.5)
-        plain = make_context()
-        constrained = make_context([soft])
-        cand = Candidate({"x": 0.7})
-        assert ca_ei(constrained, cand) == pytest.approx(0.5 * ca_ei(plain, cand))
+        assert score_1d(0.7, [soft])[0] == pytest.approx(0.5 * score_1d(0.7)[0])
 
     def test_hard_identical_to_soft_with_zero_beta(self):
         hard = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5)
         soft0 = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5, beta=lambda c: 0.0)
-        ctx_hard = make_context([hard])
-        ctx_soft = make_context([soft0])
-        for x in np.linspace(0.0, 1.0, 21):
-            cand = Candidate({"x": float(x)})
-            assert ca_ei(ctx_hard, cand) == ca_ei(ctx_soft, cand)
+        xs = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(score_1d(xs, [hard]), score_1d(xs, [soft0]))
 
     def test_nonnegative_over_the_space(self):
         soft = ConstraintSpec("s", predicate=lambda c: c["x"] > 0.3, beta=lambda c: 0.1)
-        ctx = make_context([soft])
-        for x in np.linspace(0.0, 1.0, 50):
-            assert ca_ei(ctx, Candidate({"x": float(x)})) >= 0.0
+        assert np.all(score_1d(np.linspace(0.0, 1.0, 50), [soft]) >= 0.0)
+
+
+MIXED = SearchSpace((
+    ContinuousParam("x", 0.0, 2.0),
+    DiscreteParam("n", (1.0, 10.0, 100.0, 1000.0)),
+    CategoricalParam("c", ("a", "b", "c")),
+))
+MIXED_HARD = ConstraintSpec("hard", predicate=lambda c: c["x"] < 1.4)
+MIXED_SOFT = ConstraintSpec(
+    "soft", predicate=lambda c: c["c"] != "a", beta=lambda c: 0.2 + 0.3 * c["x"]
+)
+
+
+def mixed_models(k, seed=0):
+    # A batched and a one-row posterior differ by a few ulps in the kernel,
+    # and alpha = (K + noise I)^-1 y multiplies that difference; noise 1e-2
+    # keeps alpha small, so the two stay within about 1e-13 of each other.
+    rng = np.random.default_rng(seed)
+    X = np.array([encode(MIXED, sample_uniform(MIXED, rng)) for _ in range(10)])
+    return [
+        gp_fit(X, rng.normal(size=10), GpHyperParams(np.full(5, 0.6), 1.0, 1e-2))
+        for _ in range(k)
+    ]
+
+
+def test_batched_ca_ei_matches_per_row_oracle_on_a_mixed_space():
+    """Each entry equals a one-row posterior, closed-form EI and an
+    independently computed factor product."""
+    models = mixed_models(2)
+    y_best = [-0.3, 0.4]
+    rng = np.random.default_rng(1)
+    cands = [sample_uniform(MIXED, rng) for _ in range(60)]
+    got = ca_ei(models, y_best, (MIXED_HARD, MIXED_SOFT), MIXED, cands)
+    assert got.shape == (60, 2)
+
+    cases = set()
+    for i, cand in enumerate(cands):
+        hard_ok = cand["x"] < 1.4
+        soft_ok = cand["c"] != "a"
+        cases.add((hard_ok, soft_ok))
+        factor = (1.0 if hard_ok else 0.0) * (1.0 if soft_ok else 0.2 + 0.3 * cand["x"])
+        for j, model in enumerate(models):
+            mu, sigma = gp_posterior(model, encode(MIXED, cand)[None, :])
+            gap = y_best[j] - mu[0]
+            z = gap / sigma[0]
+            ei = gap * norm.cdf(z) + sigma[0] * norm.pdf(z)
+            assert got[i, j] == pytest.approx(factor * ei, rel=0, abs=1e-12)
+            if not hard_ok:
+                assert got[i, j] == 0.0
+    assert cases == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_predicate_runs_once_per_candidate_for_any_k(k):
+    calls = {"soft": [], "beta": [], "hard": []}
+
+    def counted(name, fn):
+        def wrapped(c):
+            calls[name].append(id(c))
+            return fn(c)
+        return wrapped
+
+    # the hard constraint comes last, so nothing short-circuits a predicate
+    constraints = (
+        ConstraintSpec("soft", predicate=counted("soft", MIXED_SOFT.predicate),
+                       beta=counted("beta", MIXED_SOFT.beta)),
+        ConstraintSpec("hard", predicate=counted("hard", MIXED_HARD.predicate)),
+    )
+    rng = np.random.default_rng(2)
+    cands = [sample_uniform(MIXED, rng) for _ in range(30)]
+    ca_ei(mixed_models(k), [0.0] * k, constraints, MIXED, cands)
+    everyone = sorted(id(c) for c in cands)
+    assert sorted(calls["soft"]) == everyone
+    assert sorted(calls["hard"]) == everyone
+    assert sorted(calls["beta"]) == sorted(id(c) for c in cands if c["c"] == "a")
+
+
+def test_zero_factor_candidates_get_no_posterior(monkeypatch):
+    import moboga.acquisition as acquisition
+
+    rows = []
+    original = acquisition.gp_posterior
+
+    def spy(model, X):
+        rows.append(len(X))
+        return original(model, X)
+
+    monkeypatch.setattr(acquisition, "gp_posterior", spy)
+    hard = ConstraintSpec("band", predicate=lambda c: c["x"] < 0.5)
+    got = score_1d(np.linspace(0.0, 1.0, 11), [hard])
+    assert rows == [5]  # x = 0.0 .. 0.4, one call for the one objective
+    assert np.all(got[5:] == 0.0)
+    rows.clear()
+    assert np.all(score_1d([0.6, 0.9], [hard]) == 0.0)
+    assert rows == []
 
 
 @given(
@@ -141,9 +255,9 @@ def test_constraint_factor_product_bounds_and_semantics(specs):
                 )
             )
     x = Candidate({"x": 0.3})
-    plain = ca_ei(make_context(), x)
+    plain = score_1d(0.3)[0]
     assert plain > 0.0
-    product = ca_ei(make_context(constraints), x) / plain
+    product = score_1d(0.3, constraints)[0] / plain
     assert 0.0 <= product <= 1.0
     if all_satisfied(constraints, x):
         assert product == 1.0

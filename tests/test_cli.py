@@ -8,6 +8,7 @@ from moboga.cli import (
     EXIT_NO_FEASIBLE,
     EXIT_OK,
     EXIT_RUNTIME,
+    EXIT_VERIFY_FAILED,
     load_config,
     main,
 )
@@ -164,6 +165,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and "constraint 'c1'" in err
 
+    @pytest.mark.parametrize("key", ["sbx_eta", "pm_eta"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
+    def test_bad_distribution_index_exits_before_any_evaluation(
+        self, tmp_path, capsys, key, raw
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nname = binh-korn\n\n[engine]\nn_initial = 4\nmax_iterations = 6\n\n"
+            f"[ga]\npopulation_size = 8\ngenerations = 2\n{key} = {raw}\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
+        assert "distribution indices" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFront:
     def make_record(self, tmp_path):
@@ -243,6 +259,16 @@ class TestFront:
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(json.dumps(d) + "\n" for d in docs))
         return main(["front", str(path), "-o", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize(
+        "space", [[1, 2], "xy", [{"name": "x", "type": "weird"}]],
+        ids=["list-of-numbers", "string", "unknown-type"],
+    )
+    def test_header_with_bad_space_entry_is_a_runtime_error(self, tmp_path, capsys, space):
+        header = dict(self.HEADER, space=space)
+        assert self.front_of(tmp_path, header, self.OBSERVATION) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 1" in err and "space entry" in err
 
     @pytest.mark.parametrize("missing", ["space", "objective_names"])
     def test_header_without_required_field_is_a_runtime_error(self, tmp_path, capsys, missing):
@@ -324,6 +350,45 @@ class TestFront:
 class TestVerify:
     def test_unknown_name_is_a_config_error(self, tmp_path):
         assert main(["verify", "unknown-thing", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", [[], ["binh-korn", "--all"]], ids=["neither", "both"])
+    def test_needs_exactly_one_of_name_and_all(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:  # an argparse usage error
+            main(["verify", *args, "--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.fixture
+    def stub_studies(self, monkeypatch):
+        """Replace the three studies with instant stubs; returns the names to fail."""
+        import moboga.cli as cli
+
+        failing = set()
+
+        def front_study(name, out_dir):
+            return name not in failing, {"benchmark": name}
+
+        def sinusoid_study(out_dir):
+            return "sinusoid-1d" not in failing, {"benchmark": "sinusoid-1d"}
+
+        monkeypatch.setattr(cli, "_verify_front_benchmark", front_study)
+        monkeypatch.setattr(cli, "_verify_sinusoid", sinusoid_study)
+        return failing
+
+    def test_all_runs_every_study_into_out_dir(self, tmp_path, stub_studies):
+        assert main(["verify", "--all", "--out-dir", str(tmp_path)]) == EXIT_OK
+        for name in ("binh-korn", "constr-ex", "sinusoid-1d"):
+            metrics = json.loads(
+                (tmp_path / f"verify_{name.replace('-', '_')}" / "metrics.json").read_text()
+            )
+            assert metrics == {"benchmark": name, "pass": True}
+
+    @pytest.mark.parametrize("bad", ["binh-korn", "sinusoid-1d"])
+    def test_all_exits_5_when_any_study_fails(self, tmp_path, capsys, stub_studies, bad):
+        stub_studies.add(bad)
+        assert main(["verify", "--all", "--out-dir", str(tmp_path)]) == EXIT_VERIFY_FAILED
+        # the other studies still ran
+        assert len(list(tmp_path.glob("verify_*/metrics.json"))) == 3
+        assert f"verification FAILED for {bad}" in capsys.readouterr().err
 
     def test_problems_lists_builtins(self, capsys):
         assert main(["problems"]) == EXIT_OK

@@ -3,6 +3,7 @@ import pytest
 
 from moboga.nsga2 import (
     GaConfig,
+    _score,
     _survival,
     nsga2_run,
     polynomial_mutation,
@@ -18,6 +19,11 @@ def space_1d():
 
 def space_2d():
     return SearchSpace((ContinuousParam("x", 0.0, 1.0), ContinuousParam("y", 0.0, 1.0)))
+
+
+def two_sided(g):
+    """Scores (x, 1 - x) of each genome's first gene: every genome is on one front."""
+    return np.column_stack([g[:, 0], 1 - g[:, 0]])
 
 
 def pick(ranks, crowdings, rng):
@@ -44,6 +50,12 @@ class TestConfig:
         assert cfg.crossover_prob == 0.9
         assert cfg.mutation_prob is None  # resolved to 1/dim at run time
         assert (cfg.sbx_eta, cfg.pm_eta) == (15.0, 20.0)
+
+    @pytest.mark.parametrize("name", ["sbx_eta", "pm_eta"])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_distribution_indices_positive_and_finite(self, name, eta):
+        with pytest.raises(ValueError, match="distribution indices"):
+            GaConfig(**{name: eta})
 
 
 class TestTournament:
@@ -156,19 +168,19 @@ class TestSurvival:
 class TestRun:
     def test_single_objective_parabola_converges(self):
         cfg = GaConfig(population_size=40, generations=50, seed=0)
-        genomes, scores, part = nsga2_run(lambda g: [(g[0] - 0.5) ** 2], cfg, space_1d())
+        genomes, scores, part = nsga2_run(lambda g: (g[:, :1] - 0.5) ** 2, cfg, space_1d())
         best = np.argmin(scores[:, 0])
         assert abs(genomes[best, 0] - 0.5) < 0.02
 
     def test_population_size_constant_after_survival(self):
         cfg = GaConfig(population_size=20, generations=5, seed=1)
-        genomes, scores, _ = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_1d())
+        genomes, scores, _ = nsga2_run(two_sided, cfg, space_1d())
         assert len(genomes) == 20
         assert len(scores) == 20
 
     def test_equal_seeds_replay_bitwise(self):
         cfg = GaConfig(population_size=16, generations=8, seed=9)
-        score = lambda g: [g[0] ** 2 + g[1], (1 - g[0]) ** 2]
+        score = lambda g: np.column_stack([g[:, 0] ** 2 + g[:, 1], (1 - g[:, 0]) ** 2])
         genomes_a, scores_a, _ = nsga2_run(score, cfg, space_2d())
         genomes_b, scores_b, _ = nsga2_run(score, cfg, space_2d())
         for a, b in zip(genomes_a, genomes_b):
@@ -179,8 +191,8 @@ class TestRun:
     def test_elitism_keeps_an_injected_utopian_individual(self):
         # the genome at 0.5 scores (1, 1) and strictly dominates everything else
         def score(g):
-            d = abs(g[0] - 0.5)
-            return [1.0 + d, 1.0 + d]
+            d = np.abs(g[:, :1] - 0.5)
+            return np.hstack([1.0 + d, 1.0 + d])
 
         cfg = GaConfig(population_size=12, generations=20, seed=4)
         genomes, scores, part = nsga2_run(
@@ -193,11 +205,39 @@ class TestRun:
     def test_non_finite_scores_abort_with_diagnostic(self):
         cfg = GaConfig(population_size=4, generations=1, seed=0)
         with pytest.raises(ValueError, match="non-finite"):
-            nsga2_run(lambda g: [np.nan], cfg, space_1d())
+            nsga2_run(lambda g: np.full((len(g), 1), np.nan), cfg, space_1d())
 
     def test_final_partition_is_consistent_with_population(self):
         cfg = GaConfig(population_size=16, generations=6, seed=2)
-        genomes, scores, part = nsga2_run(lambda g: [g[0], 1 - g[0]], cfg, space_2d())
+        genomes, scores, part = nsga2_run(two_sided, cfg, space_2d())
         assert sorted(i for front in part.fronts for i in front) == list(range(16))
         for rank in part.rank:
             assert rank >= 1
+
+
+class TestScore:
+    def test_wrong_row_count_rejected(self):
+        genomes = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="4 genomes"):
+            _score(genomes, lambda g: np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="4 genomes"):
+            _score(genomes, lambda g: np.zeros(4))  # one flat vector, not (m, k)
+
+    def test_non_finite_row_names_the_first_bad_genome(self):
+        genomes = np.array([[0.1], [0.2], [0.3], [0.4]])
+        scores = np.ones((4, 2))
+        scores[2, 1] = np.inf
+        scores[3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite scores \[ 1. inf\] for genome \[0.3\]"):
+            _score(genomes, lambda g: scores)
+
+    def test_run_scores_one_population_per_call(self):
+        calls = []
+
+        def score(g):
+            calls.append(g.shape)
+            return two_sided(g)
+
+        cfg = GaConfig(population_size=10, generations=7, seed=3)
+        nsga2_run(score, cfg, space_2d())
+        assert calls == [(10, 2)] * (cfg.generations + 1)

@@ -153,7 +153,7 @@ class TestPenalizedScores:
         problem = binh_korn_problem()
         score = penalized_score_fn(problem)
         genome = np.array([0.0, 0.0])  # decodes to (0, 0), feasible
-        assert score(genome) == pytest.approx([0.0, 50.0])
+        assert score(genome[None, :])[0] == pytest.approx([0.0, 50.0])
 
     def test_infeasible_genome_is_dominated_by_feasible_worst(self):
         problem = binh_korn_problem()
@@ -164,7 +164,12 @@ class TestPenalizedScores:
         ).max(axis=0)
         bad = np.array([0.0, 1.0])  # decodes to (0, 3): outside the c1 disc
         assert not binh_korn_c1(0.0, 3.0)
-        assert np.all(score(bad) >= worst)
+        assert np.all(score(bad[None, :])[0] >= worst)
+        # one call scores a population row by row, in order
+        both = score(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert both.shape == (2, 2)
+        assert both[0] == pytest.approx([0.0, 50.0])
+        assert np.all(both[1] >= worst)
 
 
 def test_get_problem_registry():

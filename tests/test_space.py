@@ -12,7 +12,10 @@ from moboga.space import (
     decode,
     encode,
     sample_uniform,
+    validate_candidate,
 )
+from moboga.engine import EngineConfig, run
+from moboga.problems import binh_korn_problem
 
 
 def encoded_distance(space, a, b):
@@ -77,6 +80,21 @@ class TestEncode:
             encode(space, Candidate({"rate": 1.0, "batch": 33, "act": "ReLU"}))
         with pytest.raises(ValidationError, match="rate"):
             encode(space, Candidate({"rate": 11.0, "batch": 32, "act": "ReLU"}))
+
+    @pytest.mark.parametrize(
+        "value", [None, 1 + 0j, 0.5 + 1j, [0.5], "0.5", np.array([0.5])],
+        ids=["none", "real-complex", "complex", "list", "string", "array"],
+    )
+    def test_non_real_continuous_value_names_the_parameter(self, value):
+        space = mixed_space()
+        with pytest.raises(ValidationError, match="'rate'"):
+            validate_candidate(space, Candidate({"rate": value, "batch": 32, "act": "ReLU"}))
+
+    def test_non_real_initial_candidate_is_a_validation_error_from_run(self):
+        problem = binh_korn_problem()
+        cfg = EngineConfig(n_initial=2, max_iterations=2)
+        with pytest.raises(ValidationError, match="'x'"):
+            run(problem, cfg, initial_candidates=[Candidate({"x": None, "y": 1.0})])
 
 
 class TestDecode:

@@ -6,7 +6,6 @@ from moboga.surrogate import (
     GpModel,
     gp_fit,
     gp_posterior,
-    gp_posterior_many,
 )
 
 
@@ -38,22 +37,23 @@ def fixed(ls, sv=1.0, noise=1e-8):
 class TestFit:
     def test_single_point_interpolates(self):
         m = gp_fit([[0.5]], [2.0], fixed([0.3], noise=1e-6))
-        mu, sigma = gp_posterior(m, [0.5])
-        assert mu == pytest.approx(2.0, abs=1e-4)
+        mu, sigma = gp_posterior(m, [[0.5]])
+        assert mu.shape == sigma.shape == (1,)
+        assert mu[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_constant_targets_reproduced_everywhere(self):
         X = np.linspace(0, 1, 6)[:, None]
         m = gp_fit(X, np.full(6, 3.0), fixed([0.3]))
-        for x in X:
-            mu, _ = gp_posterior(m, x)
+        mus, _ = gp_posterior(m, X)
+        for mu in mus:
             assert mu == pytest.approx(3.0, abs=1e-6)
 
     def test_sine_training_inputs_recovered_within_noise(self):
         X = np.linspace(0, 1, 5)[:, None]
         y = np.sin(6 * X[:, 0])
         m = gp_fit(X, y)  # evidence-maximized
-        for xi, yi in zip(X, y):
-            mu, _ = gp_posterior(m, xi)
+        mus, _ = gp_posterior(m, X)
+        for mu, yi in zip(mus, y):
             assert mu == pytest.approx(yi, abs=1e-3)
 
     def test_evidence_mode_is_deterministic(self):
@@ -80,8 +80,8 @@ class TestPosterior:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, -1.0, 0.5])
         m = gp_fit(X, y, fixed([0.3], noise=1e-8))
-        for xi, yi in zip(X, y):
-            mu, sigma = gp_posterior(m, xi)
+        mus, sigmas = gp_posterior(m, X)
+        for mu, sigma, yi in zip(mus, sigmas, y):
             assert mu == pytest.approx(yi, abs=1e-4)
             assert sigma <= 1e-3
 
@@ -91,7 +91,7 @@ class TestPosterior:
         y = np.array([2.0, 4.0])  # mean 3, std 1
         hyper = fixed([0.05], sv=2.0)
         m = gp_fit(X, y, hyper)
-        mu, sigma = gp_posterior(m, [1.0])  # 20 length scales away
+        (mu,), (sigma,) = gp_posterior(m, [[1.0]])  # 20 length scales away
         assert mu == pytest.approx(3.0, abs=1e-3)
         assert sigma == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
@@ -100,8 +100,9 @@ class TestPosterior:
         y = np.array([0.3, -1.2, 2.5])
         hyper = fixed([0.4, 0.6], sv=1.5, noise=1e-6)
         m = gp_fit(X, y, hyper)
-        for x_star in ([0.0, 0.0], [0.5, 0.5], [0.3, 0.8]):
-            mu, sigma = gp_posterior(m, x_star)
+        queries = [[0.0, 0.0], [0.5, 0.5], [0.3, 0.8]]
+        mus, sigmas = gp_posterior(m, queries)
+        for x_star, mu, sigma in zip(queries, mus, sigmas):
             o_mu, o_sigma = oracle_posterior(X, y, hyper, x_star)
             assert mu == pytest.approx(o_mu, abs=1e-10)
             assert sigma == pytest.approx(o_sigma, abs=1e-10)
@@ -112,9 +113,9 @@ class TestPosterior:
         y = rng.random(8)
         m = gp_fit(X, y, fixed([0.3, 0.3]))
         Q = rng.random((5, 2))
-        mus, sigmas = gp_posterior_many(m, Q)
+        mus, sigmas = gp_posterior(m, Q)
         for i, q in enumerate(Q):
-            mu, sigma = gp_posterior(m, q)
+            (mu,), (sigma,) = gp_posterior(m, q[None, :])
             assert mu == pytest.approx(mus[i], rel=1e-12, abs=1e-13)
             assert sigma == pytest.approx(sigmas[i], rel=1e-12, abs=1e-13)
 
@@ -132,7 +133,7 @@ class TestInvariants:
             X = rng.random((n, d))
             y = rng.normal(size=n)
             m = gp_fit(X, y, fixed(rng.uniform(0.05, 1.0, d), sv=rng.uniform(0.2, 4.0)))
-            _, sigmas = gp_posterior_many(m, rng.random((30, d)))
+            _, sigmas = gp_posterior(m, rng.random((30, d)))
             assert np.all(sigmas >= 0.0)
 
     def test_adding_a_point_never_inflates_variance(self):
@@ -144,12 +145,12 @@ class TestInvariants:
             y = rng.normal(size=n)
             extra_x, extra_y = rng.random(d), rng.normal()
             x_star = rng.random(d)
-            _, s_before = gp_posterior(gp_fit(X, y, hyper), x_star)
+            _, (s_before,) = gp_posterior(gp_fit(X, y, hyper), x_star[None, :])
             grown = gp_fit(np.vstack([X, extra_x]), np.append(y, extra_y), hyper)
             # compare latent variances on the standardized scale to factor out
             # the target-rescaling that the new point induces
             s_before_n = s_before / gp_fit(X, y, hyper).y_scale
-            s_after_n = gp_posterior(grown, x_star)[1] / grown.y_scale
+            s_after_n = gp_posterior(grown, x_star[None, :])[1][0] / grown.y_scale
             assert s_after_n <= s_before_n + 1e-8
 
     def test_permuting_training_rows_leaves_predictions(self):
@@ -160,9 +161,10 @@ class TestInvariants:
         perm = rng.permutation(10)
         a = gp_fit(X, y, hyper)
         b = gp_fit(X[perm], y[perm], hyper)
-        for x_star in rng.random((8, 2)):
-            mu_a, s_a = gp_posterior(a, x_star)
-            mu_b, s_b = gp_posterior(b, x_star)
+        queries = rng.random((8, 2))
+        mus_a, sigmas_a = gp_posterior(a, queries)
+        mus_b, sigmas_b = gp_posterior(b, queries)
+        for mu_a, s_a, mu_b, s_b in zip(mus_a, sigmas_a, mus_b, sigmas_b):
             assert mu_a == pytest.approx(mu_b, abs=1e-10)
             assert s_a == pytest.approx(s_b, abs=1e-10)
 
