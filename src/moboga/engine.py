@@ -3,11 +3,14 @@
 Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
 vector, which ``ca_ei`` scores for a whole GA population in one call. The
-non-dominated set of the final GA population is the informative-candidate
-pool; TOPSIS picks the next query from it. Exploration ends when the proposed
-point sits within ``delta`` of something already queried (in encoded space) or
-when the evaluation budget is exhausted. Exploitation extracts the Pareto front
-of the feasible observations and recommends one of them via TOPSIS.
+first proposal of a run fits its GPs cold; every later one passes the previous
+proposal's models back in, so each objective's evidence search starts from the
+hyperparameters it found on the previous, smaller archive. The non-dominated
+set of the final GA population is the informative-candidate pool; TOPSIS picks
+the next query from it. Exploration ends when the proposed point sits within
+``delta`` of something already queried (in encoded space) or when the
+evaluation budget is exhausted. Exploitation extracts the Pareto front of the
+feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -34,7 +37,7 @@ from .objectives import (
 )
 from .pareto import pareto_front
 from .space import Candidate, SearchSpace, decode, encode, sample_uniform, validate_candidate
-from .surrogate import gp_fit
+from .surrogate import GpModel, gp_fit
 from .topsis import COST, BENEFIT, DecisionMatrix, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
@@ -137,6 +140,7 @@ class EngineConfig:
 class Proposal:
     picked: list[Candidate]
     pm: list[tuple[Candidate, np.ndarray]]  # informative pool with acquisition vectors
+    models: tuple[GpModel, ...]             # the fitted surrogate of each objective
 
 
 @dataclass(frozen=True)
@@ -169,15 +173,27 @@ def propose_next(
     problem: Problem,
     cfg: EngineConfig,
     rng: np.random.Generator,
+    warm: Sequence[GpModel] | None = None,
 ) -> Proposal:
-    """Fit surrogates, search the acquisition vector, and pick the next query."""
+    """Fit surrogates, search the acquisition vector, and pick the next query.
+
+    ``warm`` holds the previous proposal's models, one per objective; each
+    objective's evidence search then starts from that model's hyperparameters.
+    """
     if len(archive) < 1:
         raise EngineError("propose_next needs at least one archived observation")
+    if warm is not None and len(warm) != problem.n_objectives:
+        raise EngineError(
+            f"warm start has {len(warm)} models for {problem.n_objectives} objectives"
+        )
 
     space = problem.space
     X = archive.encoded_matrix()
     targets = archive.objective_matrix()
-    models = [gp_fit(X, targets[:, j]) for j in range(problem.n_objectives)]
+    models = tuple(
+        gp_fit(X, targets[:, j], start=None if warm is None else warm[j].hyper)
+        for j in range(problem.n_objectives)
+    )
     y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
     def score_fn(genomes: np.ndarray) -> np.ndarray:
@@ -207,7 +223,7 @@ def propose_next(
         picked = fresh[:1]
     if not picked:
         picked = [_uniform_hard_feasible(problem, archive, rng)]
-    return Proposal(picked=picked, pm=pm)
+    return Proposal(picked=picked, pm=pm, models=models)
 
 
 def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> list[int]:
@@ -337,9 +353,11 @@ def explore(
 
     iteration = 0
     stop_reason = MAX_ITERATIONS
+    warm: tuple[GpModel, ...] | None = None  # the first proposal fits cold
     while len(archive) < cfg.max_iterations:
         iteration += 1
-        proposal = propose_next(archive, problem, cfg, rng)
+        proposal = propose_next(archive, problem, cfg, rng, warm=warm)
+        warm = proposal.models
         if any(stop_check(archive, c, cfg.delta, problem.space) for c in proposal.picked):
             stop_reason = STOP_THRESHOLD
             break

@@ -3,11 +3,23 @@
 One model per objective. Kernel is squared-exponential with per-dimension
 length scales; targets are centered and scaled before fitting and predictions
 are mapped back on output, so fixed hyperparameters refer to the standardized
-target scale. Hyperparameters are chosen by maximizing the log marginal
-likelihood with a seeded multi-start coordinate pattern search (archive sizes
-stay small enough that exact solves are cheap). The posterior is taken over a
-matrix of test inputs at once (GPML Alg. 2.1): one kernel block and one
-triangular solve serve every row.
+target scale. Every kernel entry is formed from the per-dimension squared
+differences of its two points, so an entry does not depend on which other
+rows share the call.
+
+Hyperparameters are chosen by maximizing the log marginal likelihood with a
+seeded multi-start coordinate pattern search (archive sizes stay small enough
+that exact solves are cheap). A fit builds the squared differences ``D`` of
+the training inputs once; each probe then forms the kernel from ``D``, adds
+the noise to its diagonal in place and takes the evidence from one Cholesky
+factor ``L`` and one triangular solve ``z = L^-1 y`` (GPML §2.2, §5.4), so
+``y^T K^-1 y = z.z``. The fitted model's ``log_evidence`` comes from the same
+helper, so it is the value the search maximized. A fit given ``start``, the
+hyperparameters of an earlier fit on a smaller archive, seeds the search from
+them, adds a few fresh draws and starts with a smaller step.
+
+The posterior is taken over a matrix of test inputs at once (GPML Alg. 2.1):
+one kernel block and one triangular solve serve every row.
 """
 from __future__ import annotations
 
@@ -15,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 JITTER_FLOOR = 1e-10
 JITTER_CEIL = 1e-4
@@ -24,7 +36,12 @@ DEFAULT_NOISE = 1e-8
 _LS_LOG_RANGE = (math.log(0.05), math.log(2.0))
 _SV_LOG_RANGE = (math.log(0.1), math.log(10.0))
 _N_STARTS = 16
+_N_WARM_DRAWS = 3
+_FIRST_STEP = 0.5
+_WARM_FIRST_STEP = 0.125
+_MIN_STEP = 1e-3
 _SEARCH_BUDGET = 200
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GpNumericalError(RuntimeError):
@@ -64,72 +81,90 @@ class GpModel:
         return self.train_inputs.shape[0]
 
 
+def _sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences (d, m, n) between rows of a (m, d) and b (n, d)."""
+    return (a.T[:, :, None] - b.T[:, None, :]) ** 2
+
+
+def _se(D: np.ndarray, length_scales: np.ndarray, signal_variance: float) -> np.ndarray:
+    """SE-ARD kernel sv * exp(-1/2 sum_i D_i / l_i^2) from squared differences D."""
+    w = -0.5 / length_scales**2
+    s = D[0] * w[0]
+    for Di, wi in zip(D[1:], w[1:]):
+        s += Di * wi
+    np.exp(s, out=s)
+    s *= signal_variance
+    return s
+
+
 def _kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
     """SE-ARD cross-covariance between rows of a (m, d) and b (n, d)."""
-    sa = a / hyper.length_scales
-    sb = b / hyper.length_scales
-    sq = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * (sa @ sb.T)
-    )
-    return hyper.signal_variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    return _se(_sq_diffs(a, b), hyper.length_scales, hyper.signal_variance)
+
+
+def _evidence(L: np.ndarray, y_std: np.ndarray) -> tuple[np.ndarray, float]:
+    """z = L^-1 y and the log marginal likelihood of y under the factor L."""
+    z = solve_triangular(L, y_std, lower=True, check_finite=False)
+    return z, float(-0.5 * (z @ z) - np.sum(np.log(np.diag(L))) - len(z) * _HALF_LOG_2PI)
 
 
 def _chol_with_jitter(gram: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
+    """Factor gram + (noise + jitter) I, escalating jitter from 0; gram is overwritten."""
     n = gram.shape[0]
+    diag = np.diag(gram).copy()
     jitter = 0.0
     while True:
+        gram.flat[:: n + 1] = diag + (noise + jitter)
         try:
-            L = np.linalg.cholesky(gram + (noise + jitter) * np.eye(n))
-            return L, jitter
+            return np.linalg.cholesky(gram), jitter
         except np.linalg.LinAlgError:
             jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CEIL:
-                cond = float(np.linalg.cond(gram + noise * np.eye(n)))
+                gram.flat[:: n + 1] = diag + noise
+                cond = float(np.linalg.cond(gram))
                 raise GpNumericalError(
                     f"Cholesky failed after jitter escalation to {JITTER_CEIL} "
                     f"(n={n}, condition number ~{cond:.3e})"
                 ) from None
 
 
-def _log_evidence(X: np.ndarray, y_std: np.ndarray, hyper: GpHyperParams) -> float:
-    n = X.shape[0]
-    gram = _kernel(X, X, hyper)
-    try:
-        L = np.linalg.cholesky(gram + hyper.noise_variance * np.eye(n))
-    except np.linalg.LinAlgError:
-        return -np.inf
-    a = cho_solve((L, True), y_std, check_finite=False)
-    return float(
-        -0.5 * y_std @ a - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2.0 * math.pi)
-    )
-
-
 def _maximize_evidence(
-    X: np.ndarray, y_std: np.ndarray, noise: float, seed: int
+    D: np.ndarray,
+    y_std: np.ndarray,
+    noise: float,
+    seed: int,
+    start: GpHyperParams | None,
 ) -> GpHyperParams:
-    d = X.shape[1]
+    d, n = D.shape[0], D.shape[1]
     rng = np.random.default_rng(seed)
 
-    def hyper_of(theta: np.ndarray) -> GpHyperParams:
-        return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])), noise)
-
     def objective(theta: np.ndarray) -> float:
-        return _log_evidence(X, y_std, hyper_of(theta))
+        gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])))
+        gram.flat[:: n + 1] += noise
+        try:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return -np.inf
+        return _evidence(L, y_std)[1]
 
+    n_draws = _N_STARTS if start is None else _N_WARM_DRAWS
     starts = np.column_stack(
-        [rng.uniform(*_LS_LOG_RANGE, size=_N_STARTS) for _ in range(d)]
-        + [rng.uniform(*_SV_LOG_RANGE, size=_N_STARTS)]
+        [rng.uniform(*_LS_LOG_RANGE, size=n_draws) for _ in range(d)]
+        + [rng.uniform(*_SV_LOG_RANGE, size=n_draws)]
     )
+    step = _FIRST_STEP
+    if start is not None:
+        # the earlier fit's noise may carry its jitter: only the kernel carries over
+        theta0 = np.append(np.log(start.length_scales), math.log(start.signal_variance))
+        starts = np.vstack([theta0, starts])
+        step = _WARM_FIRST_STEP
     values = [objective(theta) for theta in starts]
     best = int(np.argmax(values))
     theta, best_val = starts[best].copy(), values[best]
 
     # Greedy coordinate pattern search with step halving, fixed evaluation budget.
-    step = 0.5
     budget = _SEARCH_BUDGET
-    while budget > 0 and step > 1e-3:
+    while budget > 0 and step > _MIN_STEP:
         improved = False
         for i in range(d + 1):
             for sign in (1.0, -1.0):
@@ -145,7 +180,7 @@ def _maximize_evidence(
                     break
         if not improved:
             step *= 0.5
-    return hyper_of(theta)
+    return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])), noise)
 
 
 def gp_fit(
@@ -155,14 +190,28 @@ def gp_fit(
     *,
     noise_variance: float = DEFAULT_NOISE,
     seed: int = 0,
+    start: GpHyperParams | None = None,
 ) -> GpModel:
-    """Fit a GP; hyper=None maximizes the evidence, otherwise hyper is fixed."""
+    """Fit a GP; hyper=None maximizes the evidence, otherwise hyper is fixed.
+
+    ``start`` warm-starts the evidence search from an earlier fit's length
+    scales and signal variance (its noise is not carried over); it cannot be
+    combined with a fixed ``hyper``.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
+    if start is not None:
+        if hyper is not None:
+            raise ValueError("pass either fixed hyper or a warm start, not both")
+        if start.length_scales.shape != (X.shape[1],):
+            raise ValueError(
+                f"warm start has {start.length_scales.size} length scales "
+                f"for {X.shape[1]} dimensions"
+            )
 
     y_mean = float(y.mean())
     y_scale = float(y.std())
@@ -170,21 +219,18 @@ def gp_fit(
         y_scale = 1.0
     y_std = (y - y_mean) / y_scale
 
+    D = _sq_diffs(X, X)
     if hyper is None:
-        hyper = _maximize_evidence(X, y_std, noise_variance, seed)
+        hyper = _maximize_evidence(D, y_std, noise_variance, seed, start)
 
-    gram = _kernel(X, X, hyper)
+    gram = _se(D, hyper.length_scales, hyper.signal_variance)
     L, jitter = _chol_with_jitter(gram, hyper.noise_variance)
     if jitter > 0.0:
         hyper = GpHyperParams(
             hyper.length_scales, hyper.signal_variance, hyper.noise_variance + jitter
         )
-    alpha = cho_solve((L, True), y_std, check_finite=False)
-    ev = float(
-        -0.5 * y_std @ alpha
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * len(y) * math.log(2.0 * math.pi)
-    )
+    z, ev = _evidence(L, y_std)
+    alpha = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
     return GpModel(X, y, hyper, L, alpha, y_mean, y_scale, ev)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moboga
 from moboga.cli import (
     EXIT_CONFIG,
     EXIT_NO_FEASIBLE,
@@ -460,3 +465,15 @@ class TestRecordRoundTrip:
         for got, want in zip(record.archive.observations, archive.observations):
             assert got.candidate.values == want.candidate.values
             assert np.array_equal(got.encoded, want.encoded)
+
+
+def test_python_dash_m_moboga_runs_the_cli():
+    src = Path(moboga.__file__).resolve().parent.parent
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "moboga", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "verify" in done.stdout

@@ -21,6 +21,7 @@ from moboga.nsga2 import GaConfig
 from moboga.objectives import ConstraintSpec, Problem, all_satisfied
 from moboga.problems import binh_korn_problem
 from moboga.space import Candidate, ContinuousParam, SearchSpace, encode
+from moboga.surrogate import GpModel
 
 SMALL_GA = GaConfig(population_size=16, generations=6)
 
@@ -140,6 +141,23 @@ class TestExplore:
             assert np.array_equal(oa.encoded, ob_.encoded)
             assert np.array_equal(oa.objectives, ob_.objectives)
 
+    def test_first_proposal_fits_cold_and_later_ones_warm_start(self, monkeypatch):
+        problem = two_obj_problem()
+        cfg = EngineConfig(n_initial=3, max_iterations=6, ga=SMALL_GA, seed=11)
+        calls = []
+
+        def spy(archive, problem, cfg, rng, warm=None):
+            proposal = propose_next(archive, problem, cfg, rng, warm=warm)
+            calls.append((warm, proposal.models))
+            return proposal
+
+        monkeypatch.setattr(engine, "propose_next", spy)
+        explore(problem, cfg)
+        assert len(calls) >= 2
+        assert calls[0][0] is None
+        for (_, before), (warm, _) in zip(calls, calls[1:]):
+            assert warm is before
+
     def test_huge_delta_stops_after_first_proposal(self):
         problem = two_obj_problem()
         cfg = EngineConfig(
@@ -214,6 +232,33 @@ class TestProposeNext:
         archive = archive_of(problem.space, [(0.1, [0.04])])
         proposal = propose_next(archive, problem, EngineConfig(ga=SMALL_GA), np.random.default_rng(0))
         assert len(proposal.picked) == 1
+
+    def test_models_are_one_fitted_gp_per_objective(self):
+        problem = two_obj_problem()
+        archive = archive_of(
+            problem.space, [(0.1, [0.1, 0.9]), (0.5, [0.5, 0.5]), (0.9, [0.9, 0.1])]
+        )
+        cfg = EngineConfig(ga=SMALL_GA)
+        proposal = propose_next(archive, problem, cfg, np.random.default_rng(0))
+        assert len(proposal.models) == problem.n_objectives
+        targets = archive.objective_matrix()
+        for j, model in enumerate(proposal.models):
+            assert isinstance(model, GpModel)
+            assert np.array_equal(model.train_inputs, archive.encoded_matrix())
+            assert np.array_equal(model.train_targets, targets[:, j])
+
+    def test_warm_start_needs_one_model_per_objective(self):
+        problem = two_obj_problem()
+        archive = archive_of(
+            problem.space, [(0.1, [0.1, 0.9]), (0.5, [0.5, 0.5]), (0.9, [0.9, 0.1])]
+        )
+        cfg = EngineConfig(ga=SMALL_GA)
+        first = propose_next(archive, problem, cfg, np.random.default_rng(0))
+        again = propose_next(archive, problem, cfg, np.random.default_rng(0), warm=first.models)
+        for cold, warm in zip(first.models, again.models):
+            assert warm.log_evidence >= cold.log_evidence
+        with pytest.raises(EngineError, match="warm start"):
+            propose_next(archive, problem, cfg, np.random.default_rng(0), warm=first.models[:1])
 
     def test_empty_archive_rejected(self):
         problem = parabola_problem()

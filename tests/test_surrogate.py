@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from moboga.surrogate import (
+    DEFAULT_NOISE,
     GpHyperParams,
     GpModel,
+    _kernel,
     gp_fit,
     gp_posterior,
 )
@@ -65,6 +67,28 @@ class TestFit:
         assert np.array_equal(a.hyper.length_scales, b.hyper.length_scales)
         assert a.hyper.signal_variance == b.hyper.signal_variance
 
+    def test_log_evidence_matches_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        X = rng.random((9, 3))
+        y = rng.normal(size=9)
+        hyper = fixed([0.3, 0.5, 0.8], sv=1.7, noise=1e-4)
+        m = gp_fit(X, y, hyper)
+        y_n = (y - y.mean()) / y.std()
+        diff = (X[:, None, :] - X[None, :, :]) / hyper.length_scales
+        K = hyper.signal_variance * np.exp(-0.5 * np.sum(diff**2, axis=2))
+        K += hyper.noise_variance * np.eye(9)
+        _, logdet = np.linalg.slogdet(K)
+        oracle = -0.5 * y_n @ np.linalg.solve(K, y_n) - 0.5 * logdet - 4.5 * np.log(2 * np.pi)
+        assert m.log_evidence == pytest.approx(oracle, rel=1e-10)
+
+    def test_searched_evidence_is_the_fixed_fit_evidence(self):
+        # the search and the final model share one evidence helper
+        rng = np.random.default_rng(6)
+        X = rng.random((15, 2))
+        y = np.cos(5 * X[:, 0]) * X[:, 1]
+        m = gp_fit(X, y)
+        assert gp_fit(X, y, m.hyper).log_evidence == m.log_evidence
+
     def test_duplicate_rows_survive_via_noise_floor(self):
         X = np.array([[0.2], [0.2], [0.8]])
         m = gp_fit(X, [1.0, 1.0, 2.0], fixed([0.5]))
@@ -73,6 +97,53 @@ class TestFit:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gp_fit(np.zeros((3, 1)), np.zeros(2))
+
+
+def warm_data(seed=7, n=14, d=2):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    return X, np.sin(4 * X[:, 0]) + X[:, 1] ** 2
+
+
+class TestWarmStart:
+    def test_warm_fit_never_ends_below_its_start(self):
+        X, y = warm_data()
+        for ls, sv in (([0.1, 0.1], 0.5), ([1.5, 0.3], 3.0), ([0.6, 0.6], 1.0)):
+            start = fixed(ls, sv)
+            at_start = gp_fit(X, y, start).log_evidence
+            assert gp_fit(X, y, start=start).log_evidence >= at_start
+
+    def test_warm_fit_from_cold_optimum_is_no_worse(self):
+        X, y = warm_data()
+        cold = gp_fit(X, y)
+        assert gp_fit(X, y, start=cold.hyper).log_evidence >= cold.log_evidence
+
+    def test_warm_fit_is_deterministic(self):
+        X, y = warm_data()
+        start = gp_fit(X[:-1], y[:-1]).hyper
+        a = gp_fit(X, y, start=start)
+        b = gp_fit(X, y, start=start)
+        assert np.array_equal(a.hyper.length_scales, b.hyper.length_scales)
+        assert a.hyper.signal_variance == b.hyper.signal_variance
+        assert a.log_evidence == b.log_evidence
+
+    def test_fixed_hyper_and_start_together_rejected(self):
+        X, y = warm_data()
+        with pytest.raises(ValueError, match="not both"):
+            gp_fit(X, y, fixed([0.3, 0.3]), start=fixed([0.3, 0.3]))
+
+    def test_start_of_another_dimension_rejected(self):
+        X, y = warm_data()
+        with pytest.raises(ValueError, match="length scales"):
+            gp_fit(X, y, start=fixed([0.3, 0.3, 0.3]))
+
+    def test_start_noise_is_not_carried_over(self):
+        # an earlier fit's noise may hold jitter; the warm fit uses its own
+        X, y = warm_data()
+        start = fixed([0.4, 0.4], sv=1.0, noise=1e-5)
+        m = gp_fit(X, y, start=start)
+        assert m.hyper.noise_variance == DEFAULT_NOISE
+        assert m.log_evidence == gp_fit(X, y, start=fixed([0.4, 0.4])).log_evidence
 
 
 class TestPosterior:
@@ -118,6 +189,15 @@ class TestPosterior:
             (mu,), (sigma,) = gp_posterior(m, q[None, :])
             assert mu == pytest.approx(mus[i], rel=1e-12, abs=1e-13)
             assert sigma == pytest.approx(sigmas[i], rel=1e-12, abs=1e-13)
+
+    def test_kernel_entries_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(8)
+        A = rng.random((10, 5))
+        B = rng.random((40, 5))
+        hyper = fixed(rng.uniform(0.1, 1.0, 5), sv=1.3)
+        K = _kernel(A, B, hyper)
+        for i in range(len(B)):
+            assert np.array_equal(K[:, i], _kernel(A, B[i : i + 1], hyper)[:, 0])
 
     def test_dimension_mismatch_rejected(self):
         m = gp_fit([[0.5, 0.5]], [1.0], fixed([0.3, 0.3]))
