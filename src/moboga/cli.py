@@ -73,7 +73,6 @@ _GA_KEYS = {
     "mutation_prob",
     "sbx_eta",
     "pm_eta",
-    "seed",
 }
 
 
@@ -161,7 +160,7 @@ def load_config(path: Optional[str]) -> dict[str, Any]:
             if key not in _GA_KEYS:
                 raise ConfigError(f"ga.{key}: unknown key")
             raw = parser.get("ga", key)
-            if key in ("population_size", "generations", "seed"):
+            if key in ("population_size", "generations"):
                 settings["ga"][key] = _parse_number("ga", key, raw, int)
             else:
                 settings["ga"][key] = _parse_number("ga", key, raw, float)

@@ -1,13 +1,14 @@
 """Elitist NSGA-II over real genomes in the unit cube.
 
 The population is two arrays, genomes (n, d) and scores (n, k); rank and
-crowding come from the FrontPartition of the last sort. Each generation merges
-parents and offspring, sorts the combined population by non-domination, fills
-the next parent set front by front, and truncates the last partially fitting
-front by descending crowding distance (ties keep the lower index, so equal
-seeds replay bit for bit). Variation is binary tournament selection, simulated
-binary crossover, and polynomial mutation. score_fn scores one population per
-call, (m, d) -> (m, k), and draws nothing from the GA's generator.
+crowding come from the FrontPartition of the last sort. A generation works on
+the whole population at once: n binary tournaments pick n parents, consecutive
+parents are crossed in pairs by simulated binary crossover, and polynomial
+mutation runs over all n children. Parents and children are then merged and
+sorted by non-domination; the n survivors are the first n by ascending rank,
+then descending crowding distance, then ascending index, so equal seeds replay
+bit for bit. score_fn scores one population per call, (m, d) -> (m, k), and
+draws nothing from the GA's generator.
 """
 from __future__ import annotations
 
@@ -46,29 +47,32 @@ class GaConfig:
 
 
 def tournament_select(
-    rank: np.ndarray, crowding: np.ndarray, i: int, j: int, rng: np.random.Generator
-) -> int:
-    """Lower rank wins; equal rank prefers larger crowding; full tie flips a coin."""
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i if rng.random() < 0.5 else j
+    rank: np.ndarray, crowding: np.ndarray, i: np.ndarray, j: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Winners of the binary tournaments i[t] against j[t]: lower rank wins,
+    equal rank prefers larger crowding, and a full tie takes the tournament's coin."""
+    coin = rng.random(len(i)) < 0.5
+    ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+    i_wins = (ri < rj) | ((ri == rj) & ((ci > cj) | ((ci == cj) & coin)))
+    return np.where(i_wins, i, j)
 
 
 def sbx_crossover(
     p1: np.ndarray, p2: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover, applied per pair with probability crossover_prob."""
+    """Simulated binary crossover of the pairs (p1[r], p2[r]), two (pairs, d)
+    arrays. Each pair is crossed with probability crossover_prob; an uncrossed
+    pair takes beta = 1, which copies both parents."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ValueError("parent genomes must share a length")
-    if rng.random() >= cfg.crossover_prob:
-        return p1.copy(), p2.copy()
+    if p1.ndim != 2 or p1.shape != p2.shape:
+        raise ValueError("parents must be two (pairs, d) arrays of one shape")
+    crossed = rng.random((len(p1), 1)) < cfg.crossover_prob
     u = rng.random(p1.shape)
     exponent = 1.0 / (cfg.sbx_eta + 1.0)
     beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (0.5 / (1.0 - u)) ** exponent)
+    beta = np.where(crossed, beta, 1.0)
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
     return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
@@ -77,13 +81,12 @@ def sbx_crossover(
 def polynomial_mutation(
     g: np.ndarray, cfg: GaConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Bounded polynomial mutation on [0, 1] genes, each hit with mutation_prob."""
+    """Bounded polynomial mutation on [0, 1] genes, each hit with mutation_prob
+    (default 1 / d for genomes of length d)."""
     g = np.asarray(g, dtype=float)
-    prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / len(g)
+    prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / g.shape[-1]
     mask = rng.random(g.shape) < prob
     u = rng.random(g.shape)
-    if not mask.any():
-        return g.copy()
     eta = cfg.pm_eta
     exponent = 1.0 / (eta + 1.0)
     d_lo = g            # distance to the lower bound, already normalized
@@ -108,33 +111,23 @@ def _score(genomes: np.ndarray, score_fn: ScoreFn) -> np.ndarray:
 
 
 def _survival(scores: np.ndarray, n: int) -> tuple[np.ndarray, FrontPartition]:
-    """Indices of the n survivors of the merged population, and its partition."""
+    """Indices of the n survivors of the merged population, and its partition:
+    ascending rank, then descending crowding, then ascending index."""
     part = fast_nondominated_sort(scores)
-    survivors: list[int] = []
-    for front in part.fronts:
-        if len(survivors) + len(front) <= n:
-            survivors.extend(front)
-        else:
-            order = np.argsort(-part.crowding[front], kind="stable")
-            survivors.extend(front[j] for j in order[: n - len(survivors)])
-            break
-    return np.array(survivors), part
+    return np.lexsort((-part.crowding, part.rank))[:n], part
 
 
 def _variation(
     genomes: np.ndarray, rank: np.ndarray, crowding: np.ndarray, cfg: GaConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """n children: n tournament winners, crossed in consecutive pairs, then mutated."""
     n = len(genomes)
-    children: list[np.ndarray] = []
-    while len(children) < n:
-        pair = []
-        for _ in range(2):
-            i, j = rng.integers(n), rng.integers(n)
-            pair.append(genomes[tournament_select(rank, crowding, int(i), int(j), rng)])
-        for g in sbx_crossover(pair[0], pair[1], cfg, rng):  # n is even
-            children.append(polynomial_mutation(g, cfg, rng))
-    return np.array(children)
+    i, j = rng.integers(n, size=(2, n))
+    parents = genomes[tournament_select(rank, crowding, i, j, rng)]
+    children = np.empty_like(parents)
+    children[0::2], children[1::2] = sbx_crossover(parents[0::2], parents[1::2], cfg, rng)
+    return polynomial_mutation(children, cfg, rng)
 
 
 def nsga2_run(

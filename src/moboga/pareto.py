@@ -54,11 +54,9 @@ def fast_nondominated_sort(pop) -> FrontPartition:
     subtracts its rows of the matrix from the counts to reveal the one after.
     """
     scores = _as_score_matrix(pop)
-    n = scores.shape[0]
     dom = _domination_matrix(scores)
     counts = dom.sum(axis=0)
-
-    rank = np.zeros(n, dtype=int)
+    rank = np.zeros(len(scores), dtype=int)
     fronts: list[list[int]] = []
     front = np.flatnonzero(counts == 0)
     while front.size:
@@ -66,29 +64,33 @@ def fast_nondominated_sort(pop) -> FrontPartition:
         rank[front] = len(fronts)
         counts -= dom[front].sum(axis=0)
         front = np.flatnonzero((counts == 0) & (rank == 0))
-
-    crowding = np.zeros(n)
-    for front in fronts:
-        crowding[front] = crowding_distance(scores[front])
-    return FrontPartition(fronts, rank, crowding)
+    return FrontPartition(fronts, rank, _crowding(scores, rank))
 
 
 def crowding_distance(front_scores) -> np.ndarray:
-    """NSGA-II crowding: per objective, boundary members get inf and interior
-    members accumulate the normalized gap between their neighbors."""
+    """NSGA-II crowding of the members of one front."""
     scores = _as_score_matrix(front_scores)
-    m, k = scores.shape
-    if m <= 2:
-        return np.full(m, np.inf)
-    dist = np.zeros(m)
-    for j in range(k):
-        vals = scores[:, j]
-        order = np.argsort(vals, kind="stable")
-        span = vals[order[-1]] - vals[order[0]]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if span > 0:
-            dist[order[1:-1]] += (vals[order[2:]] - vals[order[:-2]]) / span
+    return _crowding(scores, np.ones(len(scores), dtype=int))
+
+
+def _crowding(scores: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """NSGA-II crowding of every member within its front (members of equal rank).
+
+    Per objective, one stable sort by (rank, value) lays the fronts end to end.
+    Each front's two ends get inf; an interior member accumulates the gap
+    between its neighbours over the front's span, when the span is positive.
+    """
+    dist = np.zeros(len(scores))
+    for vals in scores.T:
+        order = np.lexsort((vals, rank))
+        r, v = rank[order], vals[order]
+        cut = np.r_[True, r[1:] != r[:-1], True]  # cut[p]: p starts a front, or p == len(v)
+        first, last = cut[:-1], cut[1:]
+        span = (v[last] - v[first])[np.cumsum(first) - 1]
+        inner = ~(first | last) & (span > 0)
+        gap = np.roll(v, -1) - np.roll(v, 1)  # next minus previous value
+        dist[order[inner]] += gap[inner] / span[inner]
+        dist[order[first | last]] = np.inf
     return dist
 
 

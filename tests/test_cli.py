@@ -114,6 +114,16 @@ class TestConfigFile:
         with pytest.raises(Exception, match="engine.bogus"):
             load_config(str(cfg))
 
+    def test_ga_seed_is_an_unknown_key(self, tmp_path, capsys):
+        # the run's generator reseeds the GA on every proposal
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nname = binh-korn\n\n[engine]\nn_initial = 2\nmax_iterations = 3\n\n"
+            "[ga]\npopulation_size = 8\ngenerations = 2\nseed = 3\n"
+        )
+        assert main(["run", "--config", str(cfg), "-o", str(tmp_path / "r.jsonl")]) == EXIT_CONFIG
+        assert "ga.seed: unknown key" in capsys.readouterr().err
+
     def test_custom_space_sections(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(
@@ -467,13 +477,24 @@ class TestRecordRoundTrip:
             assert np.array_equal(got.encoded, want.encoded)
 
 
-def test_python_dash_m_moboga_runs_the_cli():
+def run_python(*args):
+    """Run the interpreter on args with this checkout's moboga importable."""
     src = Path(moboga.__file__).resolve().parent.parent
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run(
-        [sys.executable, "-m", "moboga", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_python_dash_m_moboga_runs_the_cli():
+    done = run_python("-m", "moboga", "--help")
     assert done.returncode == EXIT_OK, done.stderr
     assert "verify" in done.stdout
+
+
+def test_custom_problem_example_prints_a_front():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_custom_problem.py"
+    done = run_python(str(script), "--budget", "10")
+    assert done.returncode == 0, done.stderr
+    assert "front:" in done.stdout.splitlines()

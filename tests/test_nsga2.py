@@ -5,6 +5,7 @@ from moboga.nsga2 import (
     GaConfig,
     _score,
     _survival,
+    _variation,
     nsga2_run,
     polynomial_mutation,
     sbx_crossover,
@@ -26,9 +27,10 @@ def two_sided(g):
     return np.column_stack([g[:, 0], 1 - g[:, 0]])
 
 
-def pick(ranks, crowdings, rng):
-    """Tournament between members 0 and 1; returns the winner's index."""
-    return tournament_select(np.array(ranks), np.array(crowdings, dtype=float), 0, 1, rng)
+def duels(ranks, crowdings, rng, n=2):
+    """n tournaments between members 0 and 1, alternating sides; returns the winners."""
+    i = np.arange(n) % 2
+    return tournament_select(np.array(ranks), np.array(crowdings, dtype=float), i, 1 - i, rng)
 
 
 class TestConfig:
@@ -61,26 +63,38 @@ class TestConfig:
 class TestTournament:
     def test_lower_rank_wins(self):
         rng = np.random.default_rng(0)
-        rank = np.array([1, 2])
-        assert rank[pick([1, 2], [0.1, 9.9], rng)] == 1
+        assert duels([1, 2], [0.1, 9.9], rng).tolist() == [0, 0]
 
     def test_equal_rank_prefers_crowding(self):
         rng = np.random.default_rng(0)
-        crowding = np.array([np.inf, 1.0])
-        winner = pick([1, 1], crowding, rng)
-        assert crowding[winner] == np.inf
+        assert duels([1, 1], [np.inf, 1.0], rng).tolist() == [0, 0]
 
     def test_full_tie_is_a_fair_coin(self):
         rng = np.random.default_rng(1)
-        picks_a = sum(pick([1, 1], [1.0, 1.0], rng) == 0 for _ in range(10_000))
-        assert abs(picks_a / 10_000 - 0.5) < 0.05
+        for crowding in (1.0, np.inf):  # two inf crowdings tie too
+            winners = duels([1, 1], [crowding, crowding], rng, n=10_000)
+            assert abs(np.mean(winners == 0) - 0.5) < 0.05
+
+    def test_every_tournament_follows_the_rule(self):
+        rng = np.random.default_rng(2)
+        rank = rng.integers(1, 4, size=30)
+        crowding = rng.choice([0.5, 1.0, np.inf], size=30)
+        i, j = rng.integers(30, size=(2, 500))
+        winners = tournament_select(rank, crowding, i, j, rng)
+        for a, b, w in zip(i, j, winners):
+            if rank[a] != rank[b]:
+                assert w == (a if rank[a] < rank[b] else b)
+            elif crowding[a] != crowding[b]:
+                assert w == (a if crowding[a] > crowding[b] else b)
+            else:
+                assert w in (a, b)
 
 
 class TestCrossover:
     def test_zero_probability_copies_parents(self):
         cfg = GaConfig(crossover_prob=0.0)
         rng = np.random.default_rng(0)
-        p1, p2 = np.array([0.2, 0.8]), np.array([0.4, 0.6])
+        p1, p2 = np.array([[0.2, 0.8], [0.1, 0.3]]), np.array([[0.4, 0.6], [0.9, 0.5]])
         c1, c2 = sbx_crossover(p1, p2, cfg, rng)
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
         assert c1 is not p1  # fresh arrays, parents untouched
@@ -88,59 +102,77 @@ class TestCrossover:
     def test_identical_parents_produce_identical_children(self):
         cfg = GaConfig(crossover_prob=1.0)
         rng = np.random.default_rng(0)
-        p = np.array([0.3, 0.7])
+        p = np.array([[0.3, 0.7], [0.5, 0.1]])
         c1, c2 = sbx_crossover(p, p, cfg, rng)
         assert np.allclose(c1, p) and np.allclose(c2, p)
 
     def test_children_stay_in_bounds(self):
         cfg = GaConfig(crossover_prob=1.0, sbx_eta=2.0)
         rng = np.random.default_rng(2)
-        for _ in range(500):
-            c1, c2 = sbx_crossover(rng.random(3), rng.random(3), cfg, rng)
-            assert np.all((c1 >= 0) & (c1 <= 1)) and np.all((c2 >= 0) & (c2 <= 1))
+        c1, c2 = sbx_crossover(rng.random((500, 3)), rng.random((500, 3)), cfg, rng)
+        assert np.all((c1 >= 0) & (c1 <= 1)) and np.all((c2 >= 0) & (c2 <= 1))
 
     def test_spread_is_mean_preserving(self):
         cfg = GaConfig(crossover_prob=1.0)
         rng = np.random.default_rng(3)
-        p1, p2 = np.array([0.2]), np.array([0.8])
-        values = []
-        for _ in range(5_000):
-            c1, c2 = sbx_crossover(p1, p2, cfg, rng)
-            values += [c1[0], c2[0]]
-        assert abs(np.mean(values) - 0.5) < 0.02
+        c1, c2 = sbx_crossover(np.full((5_000, 1), 0.2), np.full((5_000, 1), 0.8), cfg, rng)
+        assert abs(np.mean(np.vstack([c1, c2])) - 0.5) < 0.02
+
+    def test_each_pair_flips_its_own_crossover_coin(self):
+        cfg = GaConfig(crossover_prob=0.5)
+        rng = np.random.default_rng(4)
+        p1, p2 = rng.random((4_000, 3)), rng.random((4_000, 3))
+        c1, c2 = sbx_crossover(p1, p2, cfg, rng)
+        copied = (c1 == p1).all(axis=1) & (c2 == p2).all(axis=1)
+        assert abs(np.mean(copied) - 0.5) < 0.05
+        assert not np.any((c1 == p1) & ~copied[:, None])  # a crossed pair moves every gene
+
+    def test_parent_shapes_must_match(self):
+        cfg = GaConfig()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one shape"):
+            sbx_crossover(np.zeros((2, 3)), np.zeros((2, 2)), cfg, rng)
 
 
 class TestMutation:
     def test_zero_probability_is_identity(self):
         cfg = GaConfig(mutation_prob=0.0)
         rng = np.random.default_rng(0)
-        g = np.array([0.1, 0.9])
+        g = np.array([[0.1, 0.9], [0.4, 0.0]])
         assert np.array_equal(polynomial_mutation(g, cfg, rng), g)
 
     def test_boundary_gene_only_moves_inward(self):
         cfg = GaConfig(mutation_prob=1.0)
         rng = np.random.default_rng(1)
-        for _ in range(2_000):
-            out = polynomial_mutation(np.array([0.0]), cfg, rng)
-            assert out[0] >= 0.0
+        out = polynomial_mutation(np.array([[0.0, 1.0]] * 2_000), cfg, rng)
+        assert np.all(out[:, 0] >= 0.0) and np.all(out[:, 1] <= 1.0)
+        assert np.any(out[:, 0] > 0.0) and np.any(out[:, 1] < 1.0)
 
     def test_default_rate_is_one_over_dimension(self):
         cfg = GaConfig(mutation_prob=None)
         rng = np.random.default_rng(2)
-        g = np.full(10, 0.5)
-        changed = [
-            int(np.sum(polynomial_mutation(g, cfg, rng) != g)) for _ in range(4_000)
-        ]
-        assert abs(np.mean(changed) - 1.0) < 0.1  # ~Binomial(10, 1/10)
+        g = np.full((4_000, 10), 0.5)
+        changed = np.sum(polynomial_mutation(g, cfg, rng) != g, axis=1)
+        assert abs(np.mean(changed) - 1.0) < 0.1  # ~Binomial(10, 1/10) per genome
 
     def test_perturbations_concentrate_near_the_parent(self):
         cfg = GaConfig(mutation_prob=1.0, pm_eta=20.0)
         rng = np.random.default_rng(3)
-        deltas = []
-        for _ in range(1_000):
-            out = polynomial_mutation(np.full(100, 0.5), cfg, rng)
-            deltas.extend(np.abs(out - 0.5))
-        assert np.mean(deltas) < 0.1
+        out = polynomial_mutation(np.full((1_000, 100), 0.5), cfg, rng)
+        assert np.mean(np.abs(out - 0.5)) < 0.1
+
+
+class TestVariation:
+    def test_without_crossover_or_mutation_children_are_the_tournament_winners(self):
+        cfg = GaConfig(crossover_prob=0.0, mutation_prob=0.0)
+        rng = np.random.default_rng(5)
+        genomes = rng.random((12, 3))
+        rank = rng.integers(1, 4, size=12)
+        crowding = rng.choice([0.5, np.inf], size=12)
+        children = _variation(genomes, rank, crowding, cfg, np.random.default_rng(6))
+        replay = np.random.default_rng(6)
+        i, j = replay.integers(12, size=(2, 12))
+        assert np.array_equal(children, genomes[tournament_select(rank, crowding, i, j, replay)])
 
 
 class TestSurvival:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moboga.nsga2 import _survival
 from moboga.pareto import (
     crowding_distance,
     dominates,
@@ -39,6 +40,31 @@ def oracle_front_partition(scores):
         fronts.append(sorted(front))
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def oracle_crowding(scores, fronts):
+    """Deb et al.'s crowding, front by front: per objective, sort the front
+    (ties keep index order), give both ends inf, add each interior member's
+    neighbour gap over the front's span when the span is positive."""
+    dist = np.zeros(len(scores))
+    for front in fronts:
+        for j in range(scores.shape[1]):
+            members = sorted(front, key=lambda i: scores[i, j])
+            span = scores[members[-1], j] - scores[members[0], j]
+            dist[members[0]] = dist[members[-1]] = np.inf
+            if span > 0:
+                for prev, mid, nxt in zip(members, members[1:], members[2:]):
+                    dist[mid] += (scores[nxt, j] - scores[prev, j]) / span
+    return dist
+
+
+def oracle_survivors(fronts, crowding, n):
+    """Fill n places front by front; the first front that does not fit
+    whole gives its members by descending crowding, ties to the lower index."""
+    kept = []
+    for front in fronts:
+        kept += sorted(front, key=lambda i: -crowding[i])[: n - len(kept)]
+    return kept
 
 
 def random_population(rng, n=None, k=None):
@@ -142,6 +168,27 @@ def test_appending_dominated_point_preserves_front_members(seed):
     extended = np.vstack([scores, dominated])
     assert set(pareto_front(extended)) >= set(front)
     assert len(scores) not in pareto_front(extended)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40)
+def test_crowding_matches_front_by_front_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    scores = random_population(rng)
+    want = oracle_crowding(scores, oracle_front_partition(scores.tolist()))
+    assert np.array_equal(fast_nondominated_sort(scores).crowding, want)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=40)
+def test_survivors_are_the_front_by_front_fill(seed):
+    rng = np.random.default_rng(seed)
+    scores = random_population(rng)
+    fronts = oracle_front_partition(scores.tolist())
+    crowding = oracle_crowding(scores, fronts)
+    for n in range(1, len(scores) + 1):
+        want = oracle_survivors(fronts, crowding, n)
+        assert sorted(_survival(scores, n)[0].tolist()) == sorted(want)
 
 
 def test_generational_distance_zero_for_subset():
