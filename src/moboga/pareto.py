@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 def dominates(v, w) -> bool:
@@ -40,10 +39,16 @@ def _as_score_matrix(pop) -> np.ndarray:
 
 
 def _domination_matrix(scores: np.ndarray) -> np.ndarray:
-    """dom[i, j] is True iff member i dominates member j."""
-    a = scores[:, None, :]
-    b = scores[None, :, :]
-    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    """dom[i, j] is True iff member i dominates member j.
+
+    One (N, N) comparison per objective: AND of the <=, OR of the <.
+    """
+    n = len(scores)
+    le, lt = np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    for v in scores.T:
+        le &= v[:, None] <= v
+        lt |= v[:, None] < v
+    return le & lt
 
 
 def fast_nondominated_sort(pop) -> FrontPartition:
@@ -98,14 +103,17 @@ def pareto_front(pop) -> list[int]:
     """Indices of the members dominated by no other member (F_1)."""
     scores = _as_score_matrix(pop)
     dom = _domination_matrix(scores)
-    return [i for i in range(scores.shape[0]) if not dom[:, i].any()]
+    return np.flatnonzero(~dom.any(axis=0)).tolist()
 
 
 def generational_distance(front, reference) -> float:
     """Mean Euclidean distance from each front point to its nearest reference point."""
     front = _as_score_matrix(front)
     reference = _as_score_matrix(reference)
-    return float(cdist(front, reference).min(axis=1).mean())
+    sq = np.zeros((len(front), len(reference)))
+    for f, r in zip(front.T, reference.T):
+        sq += (f[:, None] - r) ** 2
+    return float(np.sqrt(sq.min(axis=1)).mean())
 
 
 def objective_diagonal(front) -> float:

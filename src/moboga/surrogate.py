@@ -10,16 +10,19 @@ rows share the call.
 Hyperparameters are chosen by maximizing the log marginal likelihood with a
 seeded multi-start coordinate pattern search (archive sizes stay small enough
 that exact solves are cheap). A fit builds the squared differences ``D`` of
-the training inputs once; each probe then forms the kernel from ``D``, adds
-the noise to its diagonal in place and takes the evidence from one Cholesky
-factor ``L`` and one triangular solve ``z = L^-1 y`` (GPML §2.2, §5.4), so
-``y^T K^-1 y = z.z``. The fitted model's ``log_evidence`` comes from the same
-helper, so it is the value the search maximized. A fit given ``start``, the
-hyperparameters of an earlier fit on a smaller archive, seeds the search from
-them, adds a few fresh draws and starts with a smaller step.
+the training inputs and one bordered matrix ``[[K + s2 I, y], [y^T, c]]``
+once; each probe then forms the kernel from ``D``, copies it into the leading
+block and takes the evidence from one Cholesky factor of that matrix (GPML
+§2.2, Alg. 2.1). The factor's leading block is the factor ``L`` of
+``K + s2 I`` and its last row is ``z = L^-1 y``, so ``y^T (K + s2 I)^-1 y =
+z.z`` needs no triangular solve. The fitted model's ``log_evidence`` comes
+from the same helper, so it is the value the search maximized. A fit given
+``start``, the hyperparameters of an earlier fit on a smaller archive, seeds
+the search from them, adds a few fresh draws and starts with a smaller step.
 
-The posterior is taken over a matrix of test inputs at once (GPML Alg. 2.1):
-one kernel block and one triangular solve serve every row.
+The model keeps ``L^-1``, formed once per fit, so the posterior over a matrix
+of test inputs (GPML Alg. 2.1) is one kernel block and one matrix product
+``v = L^-1 k`` for every row.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 JITTER_FLOOR = 1e-10
 JITTER_CEIL = 1e-4
@@ -70,7 +72,7 @@ class GpModel:
     train_inputs: np.ndarray   # (n, d), encoded
     train_targets: np.ndarray  # (n,), raw scale
     hyper: GpHyperParams
-    chol: np.ndarray           # lower Cholesky factor of K + noise*I (standardized)
+    chol_inv: np.ndarray       # L^-1, L the lower Cholesky factor of K + noise*I (standardized)
     alpha: np.ndarray          # (K + noise*I)^-1 y_standardized
     y_mean: float
     y_scale: float
@@ -102,25 +104,53 @@ def _kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
     return _se(_sq_diffs(a, b), hyper.length_scales, hyper.signal_variance)
 
 
-def _evidence(L: np.ndarray, y_std: np.ndarray) -> tuple[np.ndarray, float]:
-    """z = L^-1 y and the log marginal likelihood of y under the factor L."""
-    z = solve_triangular(L, y_std, lower=True, check_finite=False)
-    return z, float(-0.5 * (z @ z) - np.sum(np.log(np.diag(L))) - len(z) * _HALF_LOG_2PI)
+def _bordered(y_std: np.ndarray) -> np.ndarray:
+    """The (n + 1, n + 1) matrix [[K, y], [y^T, c]] whose leading block
+    _bordered_factor fills with K + noise I.
+
+    Every noise variance is at least JITTER_FLOOR and K + noise I >= noise I,
+    so z = L^-1 y has z.z <= y.y / JITTER_FLOOR. Then c = 2 y.y / JITTER_FLOOR
+    + 1 keeps the bordered matrix positive definite whenever its leading block
+    is; c enters only the last pivot.
+    """
+    n = len(y_std)
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, n] = bordered[n, :n] = y_std
+    bordered[n, n] = 2.0 * (y_std @ y_std) / JITTER_FLOOR + 1.0
+    return bordered
 
 
-def _chol_with_jitter(gram: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
-    """Factor gram + (noise + jitter) I, escalating jitter from 0; gram is overwritten."""
-    n = gram.shape[0]
-    diag = np.diag(gram).copy()
+def _bordered_factor(
+    bordered: np.ndarray, gram: np.ndarray, noise: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Copy gram + noise I into the leading block of ``bordered`` and factor
+    it with one Cholesky; raises LinAlgError on failure.
+
+    Returns L, the factor of gram + noise I (the factor's leading block),
+    z = L^-1 y (its last row) and the log marginal likelihood of y.
+    """
+    n = len(gram)
+    bordered[:n, :n] = gram
+    bordered.flat[: n * (n + 2) : n + 2] += noise
+    F = np.linalg.cholesky(bordered)
+    L, z = F[:n, :n], F[n, :n]
+    return L, z, float(-0.5 * (z @ z) - np.log(F.diagonal()[:n]).sum() - n * _HALF_LOG_2PI)
+
+
+def _chol_with_jitter(
+    bordered: np.ndarray, gram: np.ndarray, noise: float
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """_bordered_factor at noise + jitter, escalating jitter from 0; returns
+    L, z, the log evidence and the jitter."""
     jitter = 0.0
     while True:
-        gram.flat[:: n + 1] = diag + (noise + jitter)
         try:
-            return np.linalg.cholesky(gram), jitter
+            return *_bordered_factor(bordered, gram, noise + jitter), jitter
         except np.linalg.LinAlgError:
             jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CEIL:
-                gram.flat[:: n + 1] = diag + noise
+                n = len(gram)
+                gram.flat[:: n + 1] += noise
                 cond = float(np.linalg.cond(gram))
                 raise GpNumericalError(
                     f"Cholesky failed after jitter escalation to {JITTER_CEIL} "
@@ -129,23 +159,21 @@ def _chol_with_jitter(gram: np.ndarray, noise: float) -> tuple[np.ndarray, float
 
 
 def _maximize_evidence(
+    bordered: np.ndarray,
     D: np.ndarray,
-    y_std: np.ndarray,
     noise: float,
     seed: int,
     start: GpHyperParams | None,
 ) -> GpHyperParams:
-    d, n = D.shape[0], D.shape[1]
+    d = D.shape[0]
     rng = np.random.default_rng(seed)
 
     def objective(theta: np.ndarray) -> float:
         gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])))
-        gram.flat[:: n + 1] += noise
         try:
-            L = np.linalg.cholesky(gram)
+            return _bordered_factor(bordered, gram, noise)[2]
         except np.linalg.LinAlgError:
             return -np.inf
-        return _evidence(L, y_std)[1]
 
     n_draws = _N_STARTS if start is None else _N_WARM_DRAWS
     starts = np.column_stack(
@@ -220,18 +248,20 @@ def gp_fit(
     y_std = (y - y_mean) / y_scale
 
     D = _sq_diffs(X, X)
+    bordered = _bordered(y_std)
     if hyper is None:
-        hyper = _maximize_evidence(D, y_std, noise_variance, seed, start)
+        hyper = _maximize_evidence(bordered, D, noise_variance, seed, start)
 
     gram = _se(D, hyper.length_scales, hyper.signal_variance)
-    L, jitter = _chol_with_jitter(gram, hyper.noise_variance)
+    L, z, ev, jitter = _chol_with_jitter(bordered, gram, hyper.noise_variance)
     if jitter > 0.0:
         hyper = GpHyperParams(
             hyper.length_scales, hyper.signal_variance, hyper.noise_variance + jitter
         )
-    z, ev = _evidence(L, y_std)
-    alpha = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
-    return GpModel(X, y, hyper, L, alpha, y_mean, y_scale, ev)
+    # L^T is upper-triangular, so its LU needs no row exchange and the solve
+    # against the identity is a triangular one: L^-1 comes out exactly lower
+    chol_inv = np.linalg.inv(L.T).T
+    return GpModel(X, y, hyper, chol_inv, chol_inv.T @ z, y_mean, y_scale, ev)
 
 
 def gp_posterior(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +274,7 @@ def gp_posterior(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     k = _kernel(m.train_inputs, X, m.hyper)  # (n, q)
     mu_std = k.T @ m.alpha
-    v = solve_triangular(m.chol, k, lower=True, check_finite=False)
+    v = m.chol_inv @ k
     var = m.hyper.signal_variance - np.sum(v**2, axis=0)
     var = np.maximum(var, 0.0)
     mu = m.y_mean + m.y_scale * mu_std

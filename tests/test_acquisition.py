@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr as scipy_ndtr
 from scipy.stats import norm
 
-from moboga.acquisition import ca_ei, expected_improvement
+from moboga.acquisition import ca_ei, expected_improvement, ndtr
 from moboga.objectives import ConstraintSpec, all_satisfied
 from moboga.space import (
     Candidate,
@@ -109,6 +110,50 @@ class TestExpectedImprovementArrays:
         assert expected_improvement(np.array([0.0, 2.0]), 0.0, 1.0).tolist() == [1.0, 0.0]
         with pytest.raises(ValueError):  # any negative sigma
             expected_improvement(np.zeros(3), np.array([1.0, -1e-12, 1.0]), 0.0)
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # smallest normal float
+
+
+class TestNdtr:
+    # Rounding z / sqrt(2) once moves Phi(z) by up to z^2 / 2 ulps in the lower
+    # tail (its relative condition number there is about z^2), and scipy also
+    # rounds exp(-z^2 / 2): the two may differ by z^2 ulps, and 1e-15 elsewhere.
+    def test_matches_scipy_on_a_grid_within_the_argument_rounding(self):
+        z = np.linspace(-40.0, 40.0, 8001)
+        ours, ref = ndtr(z), scipy_ndtr(z)
+        normal = ref >= TINY
+        tol = (1e-15 + z**2 * EPS) * ref
+        assert np.all(np.abs(ours - ref)[normal] <= tol[normal])
+        # scipy flushes values below the smallest normal float to 0
+        assert np.all(ours[~normal] < TINY)
+        upper = z >= -4.0
+        assert np.all(np.abs(ours - ref)[upper] <= 1e-15 * ref[upper])
+
+    @pytest.mark.parametrize("z, phi", [
+        (-1.0, 0.15865525393145705),
+        (-5.0, 2.866515718791939e-07),
+        (-10.0, 7.619853024160525e-24),
+        (-20.0, 2.7536241186062337e-89),
+        (-35.0, 1.1249107064724062e-268),
+        (-37.5, 4.605353009581955e-308),
+        (3.0, 0.9986501019683699),
+        (8.0, 0.9999999999999993),
+    ])
+    def test_tails_against_high_precision_values(self, z, phi):
+        # Phi(z) to 50 digits (mpmath), rounded to the nearest double
+        assert abs(ndtr(z) - phi) <= (1e-15 + z**2 * EPS / 2) * phi
+
+    def test_exact_points_and_shape(self):
+        assert ndtr(0.0) == 0.5
+        assert ndtr(-1e3) == 0.0 and ndtr(1e3) == 1.0
+        assert ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
+        assert np.isnan(ndtr(np.nan))
+        z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert ndtr(z).shape == (3, 4)
+        assert np.array_equal(ndtr(z), ndtr(z.ravel()).reshape(3, 4))
+        assert np.array_equal(ndtr(z[:, ::2]), ndtr(z)[:, ::2])
 
 
 class TestCaEi:

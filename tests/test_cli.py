@@ -498,3 +498,10 @@ def test_custom_problem_example_prints_a_front():
     done = run_python(str(script), "--budget", "10")
     assert done.returncode == 0, done.stderr
     assert "front:" in done.stdout.splitlines()
+
+
+def test_import_loads_no_scipy_module():
+    done = run_python("-c", "import sys, moboga, moboga.cli; "
+                            "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

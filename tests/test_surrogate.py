@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from moboga.surrogate import (
     DEFAULT_NOISE,
     GpHyperParams,
     GpModel,
+    _bordered,
+    _bordered_factor,
     _kernel,
     gp_fit,
     gp_posterior,
@@ -203,6 +208,87 @@ class TestPosterior:
         m = gp_fit([[0.5, 0.5]], [1.0], fixed([0.3, 0.3]))
         with pytest.raises(ValueError):
             gp_posterior(m, [0.5])
+
+
+# the drifted theta of a seed-7, 58-evaluation binh-korn explore
+DRIFTED = dict(ls=[20.0, 32.7], sv=2.4e5, noise=1e-8)
+
+
+def binh_korn_data(rng, n):
+    """n uniform points of the unit cube and Binh-Korn's f1 over them, standardized."""
+    X = rng.random((n, 2))
+    y = 4 * (5 * X[:, 0]) ** 2 + 4 * (3 * X[:, 1]) ** 2
+    return X, (y - y.mean()) / (y.std() if n > 1 else 1.0)
+
+
+class TestBorderedFactor:
+    @pytest.mark.parametrize("n", [1, 8, 160])
+    def test_z_and_evidence_match_triangular_solve_and_slogdet(self, n):
+        rng = np.random.default_rng(n)
+        X, y = rng.random((n, 2)), rng.normal(size=n)
+        hyper = fixed([0.3, 0.5], sv=1.7, noise=1e-4)
+        K = _kernel(X, X, hyper) + hyper.noise_variance * np.eye(n)
+        L, z, ev = _bordered_factor(_bordered(y), _kernel(X, X, hyper), hyper.noise_variance)
+        assert np.array_equal(np.tril(L), L)
+        np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-13 * hyper.signal_variance)
+        np.testing.assert_allclose(z, solve_triangular(L, y, lower=True), rtol=1e-10, atol=1e-12)
+        _, logdet = np.linalg.slogdet(K)
+        oracle = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
+        assert ev == pytest.approx(oracle, rel=1e-10)
+
+    def test_never_fails_where_the_plain_factor_succeeds_at_the_drifted_theta(self):
+        hyper = fixed(**DRIFTED)
+        rng = np.random.default_rng(58)
+        factored = 0
+        for n in (2, 5, 8, 13, 21, 34, 45, 58) * 5:
+            X, y = binh_korn_data(rng, n)
+            try:
+                np.linalg.cholesky(_kernel(X, X, hyper) + hyper.noise_variance * np.eye(n))
+            except np.linalg.LinAlgError:
+                continue
+            factored += 1
+            _, z, ev = _bordered_factor(_bordered(y), _kernel(X, X, hyper), hyper.noise_variance)
+            assert np.all(np.isfinite(z)) and math.isfinite(ev)
+        assert factored > 0
+
+
+class TestCachedInverse:
+    def test_posterior_matches_a_triangular_solve_reference_and_the_dense_oracle(self):
+        # the two paths round differently: the mean by up to n ulps of the sum
+        # |k|.|alpha|, the variance by n ulps of sv times cond(L), the error
+        # factor of an explicit triangular inverse
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(9)
+        for n in (1, 8, 60):
+            X, y = rng.random((n, 2)), rng.normal(size=n)
+            hyper = fixed([0.3, 0.5], sv=1.3, noise=1e-6)
+            m = gp_fit(X, y, hyper)
+            assert np.array_equal(np.tril(m.chol_inv), m.chol_inv)
+            Q = rng.random((30, 2))
+            mus, sigmas = gp_posterior(m, Q)
+            L = np.linalg.cholesky(_kernel(X, X, hyper) + hyper.noise_variance * np.eye(n))
+            y_std = (y - m.y_mean) / m.y_scale
+            alpha = solve_triangular(L.T, solve_triangular(L, y_std, lower=True), lower=False)
+            k = _kernel(X, Q, hyper)
+            v = solve_triangular(L, k, lower=True)
+            mu_tol = n * eps * m.y_scale * (np.abs(k).T @ np.abs(alpha))
+            assert np.all(np.abs(mus - (m.y_mean + m.y_scale * (k.T @ alpha))) <= mu_tol)
+            var = (sigmas / m.y_scale) ** 2
+            ref_var = np.maximum(hyper.signal_variance - np.sum(v**2, axis=0), 0.0)
+            var_tol = n * eps * hyper.signal_variance * np.linalg.cond(L)
+            assert np.all(np.abs(var - ref_var) <= var_tol)
+            for x_star, mu, sigma in zip(Q[:5], mus, sigmas):
+                o_mu, o_sigma = oracle_posterior(X, y, hyper, x_star)
+                assert mu == pytest.approx(o_mu, abs=1e-8)
+                assert sigma == pytest.approx(o_sigma, abs=1e-6)
+
+    def test_sigma_nonnegative_at_the_drifted_theta(self):
+        rng = np.random.default_rng(7)
+        X, y = binh_korn_data(rng, 40)
+        m = gp_fit(X, y, fixed(**DRIFTED))
+        mus, sigmas = gp_posterior(m, np.vstack([X, rng.random((60, 2))]))
+        assert np.all(np.isfinite(mus)) and np.all(np.isfinite(sigmas))
+        assert np.all(sigmas >= 0.0)
 
 
 class TestInvariants:
