@@ -8,7 +8,8 @@ beyond erfc's own is the rounding of ``z / sqrt(2)``, about z^2 / 2 ulps in
 the lower tail.
 Constraint factors multiply the result: indicator (0/1) for hard constraints,
 beta in [0, 1) for violated soft ones. Their product runs once per candidate;
-each objective then takes one posterior over the candidates it leaves above 0.
+the candidates it leaves above 0 are encoded in one ``encode`` call, and each
+objective takes one posterior over those rows.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ def ca_ei(
     out = np.zeros((len(candidates), len(models)))
     live = np.flatnonzero(factor)
     if live.size:
-        X = np.array([encode(space, candidates[i]) for i in live])
+        X = encode(space, [candidates[i] for i in live])
         for j, model in enumerate(models):
             mu, sigma = gp_posterior(model, X)
             out[live, j] = expected_improvement(mu, sigma, y_best[j]) * factor[live]

@@ -276,9 +276,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _build_problem(settings, args.problem)
     cfg = _build_engine_config(settings, args)
     weights = settings["weights"]
-    if weights is not None and len(weights) != problem.n_objectives:
+    if weights is not None and (
+        len(weights) != problem.n_objectives or not all(0 < w < np.inf for w in weights)
+    ):
         raise ConfigError(
-            f"objectives.weights: expected {problem.n_objectives} entries, got {len(weights)}"
+            f"objectives.weights: expected {problem.n_objectives} finite positive entries"
         )
 
     out_path = args.out or "moboga_run.jsonl"

@@ -2,15 +2,15 @@
 
 Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
-vector, which ``ca_ei`` scores for a whole GA population in one call. The
+vector: one ``decode`` and one ``ca_ei`` call score a whole GA population. The
 first proposal of a run fits its GPs cold; every later one passes the previous
 proposal's models back in, so each objective's evidence search starts from the
 hyperparameters it found on the previous, smaller archive. The non-dominated
-set of the final GA population is the informative-candidate pool; TOPSIS picks
-the next query from it. Exploration ends when the proposed point sits within
-``delta`` of something already queried (in encoded space) or when the
-evaluation budget is exhausted. Exploitation extracts the Pareto front of the
-feasible observations and recommends one of them via TOPSIS.
+set of the final GA population, decoded and encoded once, is the informative
+pool; TOPSIS picks the next query from it. Exploration ends when the proposed
+point sits within ``delta`` of something already queried (in encoded space) or
+when the evaluation budget is exhausted. Exploitation extracts the Pareto front
+of the feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -197,12 +197,13 @@ def propose_next(
     y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
     def score_fn(genomes: np.ndarray) -> np.ndarray:
-        cands = [decode(space, g) for g in genomes]
-        return -ca_ei(models, y_best, problem.constraints, space, cands)
+        return -ca_ei(models, y_best, problem.constraints, space, decode(space, genomes))
 
     ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
     genomes, scores, part = nsga2_run(score_fn, ga_cfg, space)
-    pm = [(decode(space, genomes[i]), -scores[i]) for i in part.fronts[0]]
+    pool = decode(space, genomes[part.fronts[0]])
+    pm = list(zip(pool, -scores[part.fronts[0]]))
+    pool_enc = encode(space, pool)
 
     ordered = _rank_pool(pm, cfg.next_pick)
     fresh: list[Candidate] = []
@@ -212,7 +213,7 @@ def propose_next(
         cand = pm[i][0]
         if not all_satisfied(problem.hard_constraints, cand):
             continue
-        enc = encode(space, cand)
+        enc = pool_enc[i]
         if _min_distance(seen, enc) <= DUPLICATE_TOL:
             continue
         fresh.append(cand)
@@ -420,5 +421,8 @@ def run(
     on_observation: Optional[Callable[[Observation], None]] = None,
 ) -> RunResult:
     """Explore then exploit: the full loop from problem to recommendation."""
+    if weights is not None:  # exploit's weight rule, checked before any evaluation
+        k = problem.n_objectives
+        DecisionMatrix(np.ones((1, k)), weights, (COST,) * k)
     archive = explore(problem, cfg, initial_candidates, on_observation)
     return exploit(archive, weights)

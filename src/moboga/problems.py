@@ -251,7 +251,7 @@ def penalized_score_fn(problem: Problem, resolution: int = 64):
     worst = feasible_grid_objectives(problem, resolution).max(axis=0)
 
     def score(genomes: np.ndarray) -> np.ndarray:
-        cands = [decode(problem.space, g) for g in genomes]
+        cands = decode(problem.space, genomes)
         return np.array([
             problem.evaluator(c) if all_satisfied(problem.constraints, c)
             else worst + total_violation(problem.constraints, c)

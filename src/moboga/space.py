@@ -5,13 +5,14 @@ values are min-max scaled, discrete values are embedded by normalized rank
 (keeps distances meaningful when raw values span decades), and categorical
 labels are one-hot encoded. All downstream consumers (the surrogate, the
 genetic search genome, and the minimum-distance stop rule) operate on this
-encoding.
+encoding. ``encode`` and ``decode`` convert a whole population at once, one
+parameter at a time over all rows; ``encode`` also validates.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
@@ -116,12 +117,6 @@ class SearchSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
-    def param(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise ValidationError(f"unknown parameter {name!r}")
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -135,81 +130,79 @@ class Candidate:
 
 def validate_candidate(space: SearchSpace, c: Candidate) -> None:
     """Raise ValidationError (naming the parameter) unless c fully matches space."""
-    extra = set(c.values) - set(space.names)
+    encode(space, c)
+
+
+def encode(space: SearchSpace, c: Union[Candidate, Sequence[Candidate]]) -> np.ndarray:
+    """Map m candidates to (m, encoded_dim) rows in [0, 1], a single one to a vector.
+
+    Each parameter is validated and encoded in one walk over the population; a
+    mismatch raises ValidationError naming the parameter.
+    """
+    if isinstance(c, Candidate):
+        return encode(space, [c])[0]
+    cands = list(c)
+    extra = set().union(*(x.values for x in cands)) - set(space.names)
     if extra:
         raise ValidationError(f"parameter {sorted(extra)[0]!r}: not in the space")
-    for p in space.params:
-        if p.name not in c.values:
-            raise ValidationError(f"parameter {p.name!r}: missing from candidate")
-        v = c.values[p.name]
-        if isinstance(p, ContinuousParam):
-            if not (isinstance(v, numbers.Real) and np.isfinite(v) and p.lo <= v <= p.hi):
-                raise ValidationError(
-                    f"parameter {p.name!r}: {v!r} is not a real number in [{p.lo}, {p.hi}]"
-                )
-        elif isinstance(p, DiscreteParam):
-            p.rank_of(v)
-        else:
-            p.index_of(v)
-
-
-def encode(space: SearchSpace, c: Candidate) -> np.ndarray:
-    """Map a candidate to its normalized vector in [0, 1]^encoded_dim."""
-    validate_candidate(space, c)
-    out = np.empty(space.encoded_dim)
+    out = np.zeros((len(cands), space.encoded_dim))
     i = 0
     for p in space.params:
-        v = c.values[p.name]
+        try:
+            col = [x.values[p.name] for x in cands]
+        except KeyError:
+            raise ValidationError(f"parameter {p.name!r}: missing from candidate") from None
         if isinstance(p, ContinuousParam):
-            out[i] = (v - p.lo) / (p.hi - p.lo)
-            i += 1
+            for v in col:
+                if not (isinstance(v, numbers.Real) and np.isfinite(v) and p.lo <= v <= p.hi):
+                    raise ValidationError(
+                        f"parameter {p.name!r}: {v!r} is not a real number in [{p.lo}, {p.hi}]"
+                    )
+            out[:, i] = (np.array(col, dtype=float) - p.lo) / (p.hi - p.lo)
         elif isinstance(p, DiscreteParam):
-            n = len(p.values)
-            out[i] = 0.0 if n == 1 else p.rank_of(v) / (n - 1)
-            i += 1
+            ranks = np.array([p.rank_of(v) for v in col], dtype=int)
+            out[:, i] = ranks / max(len(p.values) - 1, 1)
         else:
-            block = np.zeros(len(p.labels))
-            block[p.index_of(v)] = 1.0
-            out[i : i + len(p.labels)] = block
-            i += len(p.labels)
+            hot = np.array([p.index_of(v) for v in col], dtype=int)
+            out[np.arange(len(cands)), i + hot] = 1.0
+        i += p.encoded_width
     return out
 
 
-def decode(space: SearchSpace, v: np.ndarray) -> Candidate:
-    """Map any finite vector of the right length back to a valid candidate.
+def decode(space: SearchSpace, G: np.ndarray) -> Union[Candidate, list[Candidate]]:
+    """Map any finite rows of the right width back to valid candidates.
 
-    Continuous entries are clamped into [0, 1] before rescaling; discrete
-    entries snap to the nearest rank (ties to the lower rank); categorical
-    blocks take the argmax (ties to the first label).
+    An (m, encoded_dim) matrix gives a list of m candidates and a single
+    (encoded_dim,) vector one candidate. Continuous entries are clamped into
+    [0, 1] before rescaling; discrete entries snap to the nearest rank (ties
+    to the lower rank); categorical blocks take the argmax (ties to the first
+    label).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.encoded_dim,):
+    G = np.asarray(G, dtype=float)
+    if G.ndim not in (1, 2) or G.shape[-1] != space.encoded_dim:
         raise ValidationError(
-            f"encoded vector has length {v.shape}, expected ({space.encoded_dim},)"
+            f"encoded rows have shape {G.shape}, expected width {space.encoded_dim}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(G)):
         raise ValidationError("encoded vector entries must be finite")
-    values: dict[str, Any] = {}
+    if G.ndim == 1:
+        return decode(space, G[None, :])[0]
+    columns: dict[str, list] = {}
     i = 0
     for p in space.params:
         if isinstance(p, ContinuousParam):
-            t = min(max(float(v[i]), 0.0), 1.0)
-            values[p.name] = p.lo + t * (p.hi - p.lo)
-            i += 1
+            t = np.clip(G[:, i], 0.0, 1.0)
+            columns[p.name] = (p.lo + t * (p.hi - p.lo)).tolist()
         elif isinstance(p, DiscreteParam):
-            n = len(p.values)
-            if n == 1:
-                values[p.name] = p.values[0]
-            else:
-                t = min(max(v[i], 0.0), 1.0)
-                ranks = np.arange(n) / (n - 1)
-                values[p.name] = p.values[int(np.argmin(np.abs(t - ranks)))]
-            i += 1
+            t = np.clip(G[:, i], 0.0, 1.0)
+            ranks = np.arange(len(p.values)) / max(len(p.values) - 1, 1)
+            idx = np.argmin(np.abs(t[:, None] - ranks), axis=1).tolist()
+            columns[p.name] = [p.values[k] for k in idx]
         else:
-            block = v[i : i + len(p.labels)]
-            values[p.name] = p.labels[int(np.argmax(block))]
-            i += len(p.labels)
-    return Candidate(values)
+            idx = np.argmax(G[:, i : i + len(p.labels)], axis=1).tolist()
+            columns[p.name] = [p.labels[k] for k in idx]
+        i += p.encoded_width
+    return [Candidate(dict(zip(columns, row))) for row in zip(*columns.values())]
 
 
 def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Candidate:

@@ -78,10 +78,6 @@ class GpModel:
     y_scale: float
     log_evidence: float
 
-    @property
-    def n_train(self) -> int:
-        return self.train_inputs.shape[0]
-
 
 def _sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-dimension squared differences (d, m, n) between rows of a (m, d) and b (n, d)."""

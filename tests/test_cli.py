@@ -195,6 +195,15 @@ class TestConfigFile:
         assert "distribution indices" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["-1, 1", "0, 1", "nan, 1", "inf, 1", "1, 1, 1"])
+    def test_bad_weights_exit_before_any_evaluation(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[problem]\nname = binh-korn\n\n[objectives]\nweights = {raw}\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
+        assert "objectives.weights" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFront:
     def make_record(self, tmp_path):

@@ -415,6 +415,23 @@ class TestRun:
             for j in range(len(front)):
                 assert not dominates(front[i], front[j])
 
+    @pytest.mark.parametrize(
+        "weights", [[-1.0, 1.0], [0.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [1.0], [1.0, 1.0, 1.0]],
+        ids=["negative", "zero", "nan", "inf", "short", "long"],
+    )
+    def test_bad_weights_raise_before_any_evaluation(self, weights):
+        calls = []
+
+        def evaluator(c):
+            calls.append(c)
+            return (c["x"], 1.0 - c["x"])
+
+        problem = Problem(space_1d(), evaluator, ("q1", "q2"))
+        cfg = EngineConfig(n_initial=3, max_iterations=5, ga=SMALL_GA, seed=21)
+        with pytest.raises(ValueError, match="weights"):
+            run(problem, cfg, weights=weights)
+        assert calls == []
+
     def test_determinism_of_the_full_result(self):
         problem = two_obj_problem()
         cfg = EngineConfig(n_initial=3, max_iterations=7, ga=SMALL_GA, seed=21)

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -34,9 +36,9 @@ def test_every_trace_hook_finds_its_target():
         tracer.uninstall()
 
 
-def test_traced_run_ends_in_one_strict_json_line_with_every_layer_metric():
+def test_traced_run_ends_in_one_strict_json_line_with_every_layer_metric(workload="binh-korn"):
     done = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "binh-korn",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -47,3 +49,8 @@ def test_traced_run_ends_in_one_strict_json_line_with_every_layer_metric():
     missing = [m["name"] for m in declared if m["name"] not in metrics]
     assert missing == []
     assert metrics["trace.propose_coverage"]["value"] >= 0.95
+
+
+@pytest.mark.parametrize("workload", ["mixed-soft", "deep-archive"])
+def test_traced_run_contract_holds_on_the_other_workloads(workload):
+    test_traced_run_ends_in_one_strict_json_line_with_every_layer_metric(workload)

@@ -200,6 +200,105 @@ def build_space(descriptors):
 space_strategy = st.lists(param_strategy, min_size=1, max_size=4).map(build_space)
 
 
+# -- population forms against the per-row conversions they replaced ---------
+
+
+def reference_encode(space, c):
+    """Per-candidate encoding, one parameter at a time (assumes c is valid)."""
+    out = np.empty(space.encoded_dim)
+    i = 0
+    for p in space.params:
+        v = c.values[p.name]
+        if isinstance(p, ContinuousParam):
+            out[i] = (v - p.lo) / (p.hi - p.lo)
+            i += 1
+        elif isinstance(p, DiscreteParam):
+            n = len(p.values)
+            out[i] = 0.0 if n == 1 else p.rank_of(v) / (n - 1)
+            i += 1
+        else:
+            block = np.zeros(len(p.labels))
+            block[p.index_of(v)] = 1.0
+            out[i : i + len(p.labels)] = block
+            i += len(p.labels)
+    return out
+
+
+def reference_decode(space, v):
+    """Per-vector decoding: clamp, nearest rank (ties low), first argmax."""
+    values = {}
+    i = 0
+    for p in space.params:
+        if isinstance(p, ContinuousParam):
+            t = min(max(float(v[i]), 0.0), 1.0)
+            values[p.name] = p.lo + t * (p.hi - p.lo)
+            i += 1
+        elif isinstance(p, DiscreteParam):
+            n = len(p.values)
+            if n == 1:
+                values[p.name] = p.values[0]
+            else:
+                t = min(max(v[i], 0.0), 1.0)
+                ranks = np.arange(n) / (n - 1)
+                values[p.name] = p.values[int(np.argmin(np.abs(t - ranks)))]
+            i += 1
+        else:
+            block = v[i : i + len(p.labels)]
+            values[p.name] = p.labels[int(np.argmax(block))]
+            i += len(p.labels)
+    return Candidate(values)
+
+
+def population(space, m, rng):
+    """m genomes straying outside [0, 1], a third of the entries on rank ties."""
+    G = rng.uniform(-0.25, 1.25, (m, space.encoded_dim))
+    ties = rng.random(G.shape) < 1 / 3
+    G[ties] = rng.choice([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0], ties.sum())
+    return G
+
+
+@given(space_strategy, st.sampled_from([0, 1, 7]), st.integers(0, 2**31 - 1))
+def test_population_decode_matches_the_per_row_reference(space, m, seed):
+    G = population(space, m, np.random.default_rng(seed))
+    cands = decode(space, G)
+    assert isinstance(cands, list) and len(cands) == m
+    for c, g in zip(cands, G):
+        assert c == reference_decode(space, g)
+        for p in space.params:
+            if isinstance(p, ContinuousParam):
+                assert type(c[p.name]) is float
+
+
+@given(space_strategy, st.sampled_from([0, 1, 7]), st.integers(0, 2**31 - 1))
+def test_population_encode_is_bit_equal_to_the_per_row_reference(space, m, seed):
+    rng = np.random.default_rng(seed)
+    cands = [sample_uniform(space, rng) for _ in range(m)]
+    cands += decode(space, population(space, m, rng))
+    want = np.array([reference_encode(space, c) for c in cands]).reshape(2 * m, space.encoded_dim)
+    got = encode(space, cands)
+    assert got.shape == (2 * m, space.encoded_dim)
+    assert np.array_equal(got, want)
+
+
+@given(space_strategy, st.sampled_from([1, 7]), st.integers(0, 2**31 - 1))
+def test_one_invalid_candidate_in_a_population_names_its_parameter(space, m, seed):
+    rng = np.random.default_rng(seed)
+    cands = [sample_uniform(space, rng) for _ in range(m)]
+    p = space.params[int(rng.integers(len(space.params)))]
+    if isinstance(p, ContinuousParam):
+        bad = p.hi + 1.0
+    elif isinstance(p, DiscreteParam):
+        bad = p.values[-1] + 1
+    else:
+        bad = "not-a-label"
+    j = int(rng.integers(m))
+    cands[j] = Candidate({**cands[j].values, p.name: bad})
+    with pytest.raises(ValidationError, match=f"'{p.name}'"):
+        encode(space, cands)
+    with pytest.raises(ValidationError, match=f"'{p.name}'"):
+        validate_candidate(space, cands[j])
+
+
 @given(space_strategy, st.integers(0, 2**31 - 1))
 def test_roundtrip_reproduces_candidates(space, seed):
     rng = np.random.default_rng(seed)
