@@ -1,0 +1,164 @@
+"""Paired benchmark runs of a parent commit against this checkout.
+
+Usage, from the repository root::
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --label nds2d \
+        --pairs binh-korn=10 --pairs mixed-soft=5 --pairs deep-archive=5
+
+The parent commit is unpacked with ``git archive REV | tar -x`` into a
+temporary directory; the change side is the working tree this script sits in.
+For each workload, pair i runs ``python3 perfbench/run.py --trace 0`` on both
+sides with seed ``--first-seed + i``, one process at a time, and alternates
+which side runs first. The result lines go to ``BENCH_<label>.json`` at the
+repository root, with a per-workload summary of every end-to-end metric that
+``BENCHMARK.json`` declares: each side's median and quartiles, the pairs the
+change won (better in the metric's direction) and the ties, which count for
+neither side.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _workload_pairs(spec: str) -> tuple[str, int]:
+    name, _, count = spec.partition("=")
+    if not name or not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=PAIRS, got {spec!r}")
+    return name, int(count)
+
+
+def _snapshot(rev: str, into: Path) -> str:
+    """Unpack the committed files of rev into a directory; returns its full hash."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {commit} failed")
+    return commit
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its last line of output, parsed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    try:
+        result = json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError) as exc:
+        raise RuntimeError(
+            f"{checkout}: {workload} seed {seed} ended without a result line\n{done.stderr[-2000:]}"
+        ) from exc
+    return {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 5), round(q3, 5)]
+
+
+def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    out: dict = {"pairs": len(pairs)}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        value = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
+        wins = sum(
+            (c < p) if lower else (c > p) for p, c in zip(value["parent"], value["change"])
+        )
+        ties = sum(p == c for p, c in zip(value["parent"], value["change"]))
+        out[name] = {
+            "parent_median": round(statistics.median(value["parent"]), 5),
+            "parent_quartiles": _quartiles(value["parent"]),
+            "change_median": round(statistics.median(value["change"]), 5),
+            "change_quartiles": _quartiles(value["change"]),
+            "change_wins": wins,
+            "ties": ties,
+        }
+    out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
+    return out
+
+
+def _host() -> str:
+    import numpy
+
+    return (f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}, "
+            f"Python {platform.python_version()}, numpy {numpy.__version__}, "
+            "OpenBLAS pinned to 1 thread by perfbench, one benchmark process at a time")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
+    parser.add_argument("--pairs", type=_workload_pairs, action="append", required=True,
+                        metavar="WORKLOAD=PAIRS")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--what", default="perfbench result lines of the parent commit "
+                                          "and of the change, measured back to back")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    known = {w["name"] for w in bench["workloads"]}
+    names = [name for name, _ in args.pairs]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {sorted(known)}")
+    if len(set(names)) != len(names):
+        parser.error("give each workload's --pairs once")
+
+    pairs: list[dict] = []
+    summary: dict = {}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        parent_commit = _snapshot(args.parent, Path(tmp))
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        for workload, count in args.pairs:
+            done: list[dict] = []
+            for i in range(count):
+                seed = args.first_seed + i
+                first = SIDES[i % 2]
+                pair = {"workload": workload, "seed": seed, "trace": 0,
+                        "seconds": seconds, "first": first}
+                for side in (first, SIDES[1 - i % 2]):
+                    pair[side] = _run(checkouts[side], workload, seed, seconds)
+                done.append(pair)
+                p50 = [pair[s]["metrics"]["propose_p50_s"]["value"] for s in SIDES]
+                print(f"{workload} seed {seed} ({first} first): propose_p50_s "
+                      f"parent {p50[0]:.4f} s, change {p50[1]:.4f} s", flush=True)
+            pairs += done
+            summary[workload] = _summary(done, bench["end_to_end"])
+
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps({
+        "what": args.what,
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "parent_commit": parent_commit,
+        "host": _host(),
+        "order": "pairs alternate which side ran first ('first')",
+        "summary": summary,
+        "pairs": pairs,
+    }, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

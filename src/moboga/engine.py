@@ -36,9 +36,9 @@ from .objectives import (
     total_violation,
 )
 from .pareto import pareto_front
-from .space import Candidate, SearchSpace, decode, encode, sample_uniform, validate_candidate
+from .space import Candidate, SearchSpace, decode, encode, sample_uniform
 from .surrogate import GpModel, gp_fit
-from .topsis import COST, BENEFIT, DecisionMatrix, topsis_rank
+from .topsis import COST, BENEFIT, DecisionMatrix, TopsisResult, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
 MAX_ITERATIONS = "max_iterations"
@@ -242,16 +242,36 @@ def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> l
         rest = [i for i in range(len(pm)) if i != idx]
         return [idx] + rest
     acq = np.vstack([vec for _, vec in pm])
-    keep = [j for j in range(acq.shape[1]) if np.any(acq[:, j] != 0.0)]
-    if not keep:
+    if not acq.any():
         # every acquisition value is zero: nothing to rank on
         return list(range(len(pm)))
     # closeness is invariant under positive column scaling, and rescaling by
     # the column maximum keeps near-underflow acquisition values normalizable
-    matrix = acq[:, keep] / acq[:, keep].max(axis=0)
-    weights = np.full(len(keep), 1.0 / len(keep))
-    result = topsis_rank(DecisionMatrix(matrix, weights, (BENEFIT,) * len(keep)))
+    peak = acq.max(axis=0)
+    result = _topsis(acq / np.where(peak > 0, peak, 1.0), BENEFIT)
     return [int(i) for i in result.ranking]
+
+
+def _topsis(
+    x: np.ndarray, direction: str, weights: Sequence[float] | None = None
+) -> TopsisResult:
+    """TOPSIS ranking of the rows of x, every criterion in one direction.
+
+    A column that is zero on every row cannot be normalized and tells no row
+    apart, so it is dropped with its weight. When every column is zero the
+    rows are identical, and TOPSIS ranks them in index order. ``weights``, one
+    per column of x, default to equal weights over the columns kept.
+    """
+    keep = np.any(x != 0.0, axis=0)
+    if not keep.any():
+        keep[:] = True
+    m = int(keep.sum())
+    if weights is None:
+        weights = np.full(m, 1.0 / m)
+    else:
+        DecisionMatrix(x, weights, (direction,) * len(keep))  # rejects bad weights before the drop
+        weights = np.asarray(weights, dtype=float).reshape(-1)[keep]
+    return topsis_rank(DecisionMatrix(x[:, keep], weights, (direction,) * m))
 
 
 def stop_check(
@@ -268,8 +288,9 @@ def _initial_design(
     cfg: EngineConfig,
     rng: np.random.Generator,
     initial_candidates: Sequence[Candidate] | None,
-) -> list[Candidate]:
-    """Uniform draws, rejecting hard-infeasible and duplicate ones.
+) -> list[tuple[Candidate, np.ndarray]]:
+    """Uniform draws, rejecting hard-infeasible and duplicate ones; each
+    chosen candidate comes with its encoding.
 
     If the rejection budget runs out the least-violating draws fill the
     remainder, so callers on mostly-infeasible spaces still get a design.
@@ -277,18 +298,15 @@ def _initial_design(
     chosen: list[Candidate] = []
     encodings: list[np.ndarray] = []
 
-    def admit(cand: Candidate) -> bool:
-        enc = encode(problem.space, cand)
-        if _min_distance(encodings, enc) <= DUPLICATE_TOL:
-            return False
-        chosen.append(cand)
-        encodings.append(enc)
-        return True
+    def admit(cand: Candidate, enc: np.ndarray) -> None:
+        if _min_distance(encodings, enc) > DUPLICATE_TOL:
+            chosen.append(cand)
+            encodings.append(enc)
 
     for cand in initial_candidates or []:
-        validate_candidate(problem.space, cand)
+        enc = encode(problem.space, cand)  # validates every given candidate
         if len(chosen) < cfg.n_initial:
-            admit(cand)
+            admit(cand, enc)
 
     hard = problem.hard_constraints
     rejected: list[tuple[float, int, Candidate]] = []
@@ -298,20 +316,20 @@ def _initial_design(
             break
         cand = sample_uniform(problem.space, rng)
         if all_satisfied(hard, cand):
-            admit(cand)
+            admit(cand, encode(problem.space, cand))
         else:
             rejected.append((total_violation(hard, cand), attempt, cand))
     if len(chosen) < cfg.n_initial:
         for _, _, cand in sorted(rejected, key=lambda t: (t[0], t[1])):
             if len(chosen) >= cfg.n_initial:
                 break
-            admit(cand)
+            admit(cand, encode(problem.space, cand))
     if len(chosen) < cfg.n_initial:
         raise EngineError(
             f"initialization exhausted {attempts} draws without collecting "
             f"{cfg.n_initial} distinct candidates"
         )
-    return chosen
+    return list(zip(chosen, encodings))
 
 
 def explore(
@@ -328,7 +346,7 @@ def explore(
     rng = np.random.default_rng(cfg.seed)
     archive = Archive()
 
-    def record(cand: Candidate, iteration: int) -> bool:
+    def record(cand: Candidate, iteration: int, encoded: np.ndarray) -> bool:
         try:
             q = evaluate_candidate(problem, cand)
         except EvaluationError:
@@ -338,7 +356,7 @@ def explore(
             objectives=q,
             feasible=all_satisfied(problem.constraints, cand),
             iteration=iteration,
-            encoded=encode(problem.space, cand),
+            encoded=encoded,
         )
         archive.append(obs)
         if on_observation is not None:
@@ -346,8 +364,8 @@ def explore(
         return True
 
     failures = 0
-    for cand in _initial_design(problem, cfg, rng, initial_candidates):
-        if not record(cand, 0):
+    for cand, enc in _initial_design(problem, cfg, rng, initial_candidates):
+        if not record(cand, 0, enc):
             failures += 1
     if len(archive) == 0:
         raise EngineError("every initial candidate failed evaluation")
@@ -366,7 +384,7 @@ def explore(
         for cand in proposal.picked:
             if len(archive) >= cfg.max_iterations:
                 break
-            progressed |= record(cand, iteration)
+            progressed |= record(cand, iteration, encode(problem.space, cand))
         if not progressed:
             failures += 1
             if failures > 10:
@@ -396,10 +414,7 @@ def exploit(
         closeness = {pof[0]: 0.5}
         best = pof[0]
     else:
-        front_scores = q[local_front]
-        k = front_scores.shape[1]
-        w = np.asarray(weights, dtype=float) if weights is not None else np.full(k, 1.0 / k)
-        result = topsis_rank(DecisionMatrix(front_scores, w, (COST,) * k))
+        result = _topsis(q[local_front], COST, weights)
         closeness = {pof[i]: float(result.closeness[i]) for i in range(len(pof))}
         best = pof[int(result.ranking[0])]
 

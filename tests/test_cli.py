@@ -106,6 +106,26 @@ class TestRun:
         )
         assert code == EXIT_NO_FEASIBLE
 
+    def test_objective_zero_on_the_whole_front_still_recommends(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        space = SearchSpace((ContinuousParam("x", 0.0, 1.0),))
+        flat = Problem(
+            space, lambda c: (c["x"], 1.0 - c["x"], 0.0), ("q1", "q2", "q3"), (), name="flat"
+        )
+        monkeypatch.setattr("moboga.cli.get_problem", lambda name: flat)
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text(
+            "[problem]\nname = flat\n\n[engine]\nn_initial = 3\n"
+            "max_iterations = 6\n\n[ga]\npopulation_size = 8\ngenerations = 3\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "--seed", "1", "-o", str(out)]) == EXIT_OK
+        assert "best candidate" in capsys.readouterr().out
+        result = load_record(str(out)).result
+        assert len(result["pof"]) > 1 and result["best_index"] in result["pof"]
+        assert main(["front", str(out)]) == EXIT_OK
+
 
 class TestConfigFile:
     def test_unknown_key_is_named(self, tmp_path):

@@ -221,8 +221,10 @@ class TestExplore:
         problem = parabola_problem()
         near = [Candidate({"x": 0.5}), Candidate({"x": 0.5 + 1e-13})]
         cfg = EngineConfig(n_initial=2, max_iterations=2, ga=SMALL_GA)
-        chosen = engine._initial_design(problem, cfg, np.random.default_rng(0), near)
+        design = engine._initial_design(problem, cfg, np.random.default_rng(0), near)
+        chosen = [c for c, _ in design]
         assert len(chosen) == 2
+        assert all(np.array_equal(e, encode(problem.space, c)) for c, e in design)
         assert sum(abs(c["x"] - 0.5) < 1e-9 for c in chosen) == 1
 
 
@@ -391,6 +393,14 @@ class TestExploit:
         assert exploit(archive, weights=[0.95, 0.05]).best_index == 0
         assert exploit(archive, weights=[0.05, 0.95]).best_index == 1
 
+    def test_all_zero_objective_is_dropped_with_its_weight(self):
+        space = space_1d()
+        archive = archive_of(space, [(0.1, [1.0, 9.0, 0.0]), (0.5, [9.0, 1.0, 0.0])])
+        assert exploit(archive, weights=[0.95, 0.05, 0.5]).best_index == 0
+        assert exploit(archive, weights=[0.05, 0.95, 0.5]).best_index == 1
+        with pytest.raises(ValueError, match="weights"):
+            exploit(archive, weights=[0.95, 0.05])
+
 
 class TestRun:
     def test_full_loop_on_binh_korn_is_feasible_and_fronted(self):
@@ -431,6 +441,16 @@ class TestRun:
         with pytest.raises(ValueError, match="weights"):
             run(problem, cfg, weights=weights)
         assert calls == []
+
+    def test_objective_zero_on_the_whole_front_still_recommends(self):
+        problem = Problem(
+            space_1d(), lambda c: (c["x"], 1.0 - c["x"], 0.0), ("q1", "q2", "q3")
+        )
+        cfg = EngineConfig(n_initial=3, max_iterations=6, ga=SMALL_GA, seed=5)
+        result = run(problem, cfg)
+        assert len(result.archive) == 6
+        assert len(result.pof) > 1
+        assert result.best_index in result.pof
 
     def test_determinism_of_the_full_result(self):
         problem = two_obj_problem()

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from moboga.nsga2 import _survival
 from moboga.pareto import (
+    _partition,
+    _peel_rank,
     crowding_distance,
     dominates,
     fast_nondominated_sort,
@@ -103,10 +105,11 @@ class TestSort:
         part = fast_nondominated_sort([(0, 1), (1, 0)])
         assert part.fronts == [[0, 1]]
 
-    def test_matches_bruteforce_oracle_on_random_populations(self):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_bruteforce_oracle_on_random_populations(self, k):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            scores = random_population(rng, k=3, n=30)
+            scores = random_population(rng, k=k, n=30)
             part = fast_nondominated_sort(scores)
             assert part.fronts == oracle_front_partition(scores.tolist())
 
@@ -118,6 +121,43 @@ class TestSort:
         permuted = fast_nondominated_sort(scores[perm])
         for f_base, f_perm in zip(base.fronts, permuted.fronts):
             assert sorted(perm[f_perm]) == sorted(f_base)
+
+
+def _chain(n=120, seed=11):
+    # f2 trails f1 by a little noise, so most members dominate the next few:
+    # the long chain of fronts that binh-korn's acquisition gives the GA
+    rng = np.random.default_rng(seed)
+    f1 = np.round(rng.random(n), 3)
+    return np.column_stack([f1, f1 + np.round(0.05 * rng.random(n), 3)])
+
+
+TWO_OBJECTIVE_CASES = {  # name: (scores, least number of fronts)
+    "long-chain": (_chain(), 50),
+    # the engine negates acquisition values, so a zero EI arrives as -0.0
+    "signed-zeros": (
+        np.random.default_rng(5).choice([0.0, -0.0, -0.5, -1.0], size=(40, 2)), 2
+    ),
+    "one-member": (np.array([[0.5, -1.0]]), 1),
+    "all-equal": (np.full((9, 2), 0.25), 1),
+}
+
+
+@pytest.mark.parametrize(
+    "scores, min_fronts", TWO_OBJECTIVE_CASES.values(), ids=TWO_OBJECTIVE_CASES.keys()
+)
+def test_two_objective_sweep_matches_the_oracles_and_the_peel_bit_for_bit(scores, min_fronts):
+    part = fast_nondominated_sort(scores)
+    fronts = oracle_front_partition(scores.tolist())
+    assert len(fronts) >= min_fronts
+    assert part.fronts == fronts
+    assert part.rank.tolist() == [
+        next(r for r, f in enumerate(fronts, 1) if i in f) for i in range(len(scores))
+    ]
+    assert part.crowding.tobytes() == oracle_crowding(scores, fronts).tobytes()
+    peel = _partition(scores, _peel_rank(scores))
+    assert part.fronts == peel.fronts
+    assert part.rank.tobytes() == peel.rank.tobytes()
+    assert part.crowding.tobytes() == peel.crowding.tobytes()
 
 
 class TestCrowding:
