@@ -1,0 +1,112 @@
+"""Check that seeded runs of this checkout equal those of a parent commit.
+
+Usage, from the repository root::
+
+    python3 scripts/same_runs.py --parent HEAD~1
+
+The parent commit is unpacked with ``git archive REV | tar -x`` into a
+temporary directory; the change side is the working tree this script sits in.
+Each side runs, one process at a time and with one BLAS thread:
+
+* ``moboga run --problem P --iters 20 --seed 7`` for each built-in problem P
+* ``moboga run --config configs/binh_korn.ini --iters 16``
+* ``moboga verify --all``
+
+The run records are compared document by document without their wall-clock
+fields (``timestamp``, ``started_at``, ``finished_at``), and each study's
+``metrics.json`` without ``elapsed_seconds``. Every difference is printed, and
+the exit status is 1 if there is any, 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, _snapshot
+
+RUNS = {
+    **{p: ["--problem", p, "--iters", "20", "--seed", "7"]
+       for p in ("binh-korn", "constr-ex", "sinusoid-1d")},
+    "binh-korn-config": ["--config", "configs/binh_korn.ini", "--iters", "16"],
+}
+CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
+
+
+def _moboga(checkout: Path, args: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    env.pop("MOBOGA_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "moboga", *args], cwd=checkout, env=env,
+        capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{checkout}: moboga {' '.join(args)} exited {done.returncode}\n{done.stderr[-2000:]}"
+        )
+
+
+def _outputs(checkout: Path, out: Path) -> dict[str, list[dict]]:
+    """Every run record and verify metrics file of one side, as lists of
+    documents without their wall-clock fields."""
+    docs = {}
+    for name, args in RUNS.items():
+        record = out / f"{name}.jsonl"
+        _moboga(checkout, ["run", *args, "-o", str(record)])
+        docs[f"run {name}"] = [json.loads(line) for line in record.read_text().splitlines()]
+    _moboga(checkout, ["verify", "--all", "--out-dir", str(out)])
+    for metrics in sorted(out.glob("verify_*/metrics.json")):
+        docs[f"verify {metrics.parent.name}"] = [json.loads(metrics.read_text())]
+    return {
+        key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} for d in ds]
+        for key, ds in docs.items()
+    }
+
+
+def _differences(parent: dict[str, list[dict]], change: dict[str, list[dict]]) -> list[str]:
+    found = []
+    for key in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(key), change.get(key)
+        if a is None or b is None:
+            found.append(f"{key}: only on the {'change' if a is None else 'parent'} side")
+            continue
+        if len(a) != len(b):
+            found.append(f"{key}: {len(a)} documents at the parent, {len(b)} in the change")
+        found += [
+            f"{key}: document {i + 1} differs\n  parent: {x}\n  change: {y}"
+            for i, (x, y) in enumerate(zip(a, b)) if x != y
+        ]
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="same_runs-") as tmp:
+        tmp_path = Path(tmp)
+        checkouts = {"parent": tmp_path / "parent", "change": ROOT}
+        checkouts["parent"].mkdir()
+        commit = _snapshot(args.parent, checkouts["parent"])
+        outputs = {}
+        for side, checkout in checkouts.items():
+            out = tmp_path / f"out-{side}"
+            out.mkdir()
+            outputs[side] = _outputs(checkout, out)
+
+    found = _differences(outputs["parent"], outputs["change"])
+    for line in found:
+        print(line)
+    compared = ", ".join(sorted(outputs["change"]))
+    verdict = f"{len(found)} differences" if found else "identical"
+    print(f"parent {commit[:12]} against the working tree: {verdict} ({compared})")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

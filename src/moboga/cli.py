@@ -45,6 +45,7 @@ from .space import (
     SearchSpace,
 )
 from .surrogate import GpNumericalError
+from .topsis import TopsisError, check_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,27 +66,31 @@ class ConfigError(ValueError):
 # config file parsing
 
 
-_ENGINE_KEYS = {"seed", "n_initial", "max_iterations", "delta", "next_pick"}
-_GA_KEYS = {
-    "population_size",
-    "generations",
-    "crossover_prob",
-    "mutation_prob",
-    "sbx_eta",
-    "pm_eta",
+def _float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# every key of the fixed sections, with the cast that parses its value
+_CONFIG_KEYS = {
+    "problem": {"name": str, "evaluator": str, "constraints": str},
+    "engine": {
+        "seed": int, "n_initial": int, "max_iterations": int, "delta": float, "next_pick": str,
+    },
+    "ga": {
+        "population_size": int,
+        "generations": int,
+        "crossover_prob": float,
+        "mutation_prob": float,
+        "sbx_eta": float,
+        "pm_eta": float,
+    },
+    "objectives": {"weights": _float_list},
 }
 
 
-def _parse_number(section: str, key: str, raw: str, cast):
+def _parse_value(section: str, key: str, raw: str, cast):
     try:
         return cast(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
-
-
-def _parse_float_list(section: str, key: str, raw: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
 
@@ -98,11 +103,11 @@ def _space_from_config(parser: configparser.ConfigParser) -> Optional[SearchSpac
         name = section[len("param."):]
         kind = parser.get(section, "type", fallback=None)
         if kind == "continuous":
-            lo = _parse_number(section, "lo", parser.get(section, "lo"), float)
-            hi = _parse_number(section, "hi", parser.get(section, "hi"), float)
+            lo = _parse_value(section, "lo", parser.get(section, "lo"), float)
+            hi = _parse_value(section, "hi", parser.get(section, "hi"), float)
             params.append(ContinuousParam(name, lo, hi))
         elif kind == "discrete":
-            values = _parse_float_list(section, "values", parser.get(section, "values"))
+            values = _parse_value(section, "values", parser.get(section, "values"), _float_list)
             params.append(DiscreteParam(name, tuple(values)))
         elif kind == "categorical":
             labels = [t.strip() for t in parser.get(section, "labels").split(",") if t.strip()]
@@ -116,65 +121,32 @@ def _space_from_config(parser: configparser.ConfigParser) -> Optional[SearchSpac
 
 def load_config(path: Optional[str]) -> dict[str, Any]:
     """Read the INI-style config into a plain settings dict."""
-    settings: dict[str, Any] = {
-        "problem": None,
-        "evaluator": None,
-        "constraints": None,
-        "space": None,
-        "engine": {},
-        "ga": {},
-        "weights": None,
-    }
-    if path is None:
-        return settings
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    if parser.has_section("problem"):
-        for key in parser.options("problem"):
-            if key not in ("name", "evaluator", "constraints"):
-                raise ConfigError(f"problem.{key}: unknown key")
-        settings["problem"] = parser.get("problem", "name", fallback=None)
-        settings["evaluator"] = parser.get("problem", "evaluator", fallback=None)
-        settings["constraints"] = parser.get("problem", "constraints", fallback=None)
-
-    if parser.has_section("engine"):
-        for key in parser.options("engine"):
-            if key not in _ENGINE_KEYS:
-                raise ConfigError(f"engine.{key}: unknown key")
-            raw = parser.get("engine", key)
-            if key in ("seed", "n_initial", "max_iterations"):
-                settings["engine"][key] = _parse_number("engine", key, raw, int)
-            elif key == "delta":
-                settings["engine"][key] = _parse_number("engine", key, raw, float)
-            else:
-                settings["engine"][key] = raw
-
-    if parser.has_section("ga"):
-        for key in parser.options("ga"):
-            if key not in _GA_KEYS:
-                raise ConfigError(f"ga.{key}: unknown key")
-            raw = parser.get("ga", key)
-            if key in ("population_size", "generations"):
-                settings["ga"][key] = _parse_number("ga", key, raw, int)
-            else:
-                settings["ga"][key] = _parse_number("ga", key, raw, float)
-
-    if parser.has_section("objectives"):
-        for key in parser.options("objectives"):
-            if key != "weights":
-                raise ConfigError(f"objectives.{key}: unknown key")
-        settings["weights"] = _parse_float_list(
-            "objectives", "weights", parser.get("objectives", "weights")
-        )
-
-    settings["space"] = _space_from_config(parser)
-    return settings
+    values: dict[str, dict[str, Any]] = {}
+    for section, casts in _CONFIG_KEYS.items():
+        values[section] = {}
+        for key in parser.options(section) if parser.has_section(section) else ():
+            if key not in casts:
+                raise ConfigError(f"{section}.{key}: unknown key")
+            values[section][key] = _parse_value(section, key, parser.get(section, key), casts[key])
+    problem = values["problem"]
+    return {
+        "problem": problem.get("name"),
+        "evaluator": problem.get("evaluator"),
+        "constraints": problem.get("constraints"),
+        "space": _space_from_config(parser),
+        "engine": values["engine"],
+        "ga": values["ga"],
+        "weights": values["objectives"].get("weights"),
+    }
 
 
 def _build_problem(settings: dict[str, Any], cli_problem: Optional[str]) -> Problem:
@@ -223,7 +195,7 @@ def _build_engine_config(
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        engine_kwargs["seed"] = _parse_number("env", SEED_ENV_VAR, env_seed, int)
+        engine_kwargs["seed"] = _parse_value("env", SEED_ENV_VAR, env_seed, int)
     if getattr(args, "seed", None) is not None:
         engine_kwargs["seed"] = args.seed
     if getattr(args, "iters", None) is not None:
@@ -276,12 +248,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem = _build_problem(settings, args.problem)
     cfg = _build_engine_config(settings, args)
     weights = settings["weights"]
-    if weights is not None and (
-        len(weights) != problem.n_objectives or not all(0 < w < np.inf for w in weights)
-    ):
-        raise ConfigError(
-            f"objectives.weights: expected {problem.n_objectives} finite positive entries"
-        )
+    if weights is not None:
+        try:
+            check_weights(weights, problem.n_objectives)
+        except TopsisError as exc:
+            raise ConfigError(f"objectives.weights: {exc}") from None
 
     out_path = args.out or "moboga_run.jsonl"
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -7,10 +7,15 @@ first proposal of a run fits its GPs cold; every later one passes the previous
 proposal's models back in, so each objective's evidence search starts from the
 hyperparameters it found on the previous, smaller archive. The non-dominated
 set of the final GA population, decoded and encoded once, is the informative
-pool; TOPSIS picks the next query from it. Exploration ends when the proposed
-point sits within ``delta`` of something already queried (in encoded space) or
-when the evaluation budget is exhausted. Exploitation extracts the Pareto front
-of the feasible observations and recommends one of them via TOPSIS.
+pool. The pick admission rule: a candidate is admitted when it meets every hard
+constraint and sits more than ``DUPLICATE_TOL`` from every archived point and
+every pick admitted before it. TOPSIS orders the pool best-first, and the first
+admitted member is the next query (every admitted one with ``next_pick="all"``);
+when none is admitted, the first admitted one of up to 1000 uniform draws is.
+Exploration ends when the proposed point sits within ``delta`` of something
+already queried (in encoded space) or when the evaluation budget is exhausted.
+Exploitation extracts the Pareto front of the feasible observations and
+recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -22,13 +27,15 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .acquisition import ca_ei
 from .nsga2 import GaConfig, nsga2_run
 from .objectives import (
+    ConstraintSpec,
     EvaluationError,
     Problem,
     all_satisfied,
@@ -38,7 +45,7 @@ from .objectives import (
 from .pareto import pareto_front
 from .space import Candidate, SearchSpace, decode, encode, sample_uniform
 from .surrogate import GpModel, gp_fit
-from .topsis import COST, BENEFIT, DecisionMatrix, TopsisResult, topsis_rank
+from .topsis import COST, BENEFIT, DecisionMatrix, TopsisResult, check_weights, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
 MAX_ITERATIONS = "max_iterations"
@@ -82,7 +89,6 @@ class Archive:
     def __init__(self) -> None:
         self.observations: list[Observation] = []
         self.stop_reason: str = MAX_ITERATIONS
-        self.iterations_used: int = 0
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -153,19 +159,17 @@ class RunResult:
     iterations_used: int
 
 
-def _uniform_hard_feasible(
-    problem: Problem, archive: Archive, rng: np.random.Generator, attempts: int = 1000
-) -> Candidate:
-    for _ in range(attempts):
-        cand = sample_uniform(problem.space, rng)
-        if not all_satisfied(problem.hard_constraints, cand):
-            continue
-        if archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL:
-            return cand
-    raise EngineError(
-        "could not draw a fresh hard-feasible candidate; the feasible region "
-        "may be empty or fully explored"
-    )
+def _admitted(
+    pairs: Iterable[tuple[Candidate, np.ndarray]],
+    hard: Sequence[ConstraintSpec],
+    seen: list[np.ndarray],
+) -> Iterator[Candidate]:
+    """The candidates of (candidate, encoding) pairs that pass the admission
+    rule against seen, lazily and in order; each admitted encoding joins seen."""
+    for cand, enc in pairs:
+        if all_satisfied(hard, cand) and _min_distance(seen, enc) > DUPLICATE_TOL:
+            seen.append(enc)
+            yield cand
 
 
 def propose_next(
@@ -205,25 +209,20 @@ def propose_next(
     pm = list(zip(pool, -scores[part.fronts[0]]))
     pool_enc = encode(space, pool)
 
-    ordered = _rank_pool(pm, cfg.next_pick)
-    fresh: list[Candidate] = []
-    # picks join the archived encodings: the pool may carry duplicate genomes
-    seen = list(X)
-    for i in ordered:
-        cand = pm[i][0]
-        if not all_satisfied(problem.hard_constraints, cand):
-            continue
-        enc = pool_enc[i]
-        if _min_distance(seen, enc) <= DUPLICATE_TOL:
-            continue
-        fresh.append(cand)
-        seen.append(enc)
-    if isinstance(cfg.next_pick, str) and cfg.next_pick == "all":
-        picked = fresh
-    else:
-        picked = fresh[:1]
+    hard = problem.hard_constraints
+    seen = list(X)  # picks join it too: the pool may carry duplicate genomes
+    ordered = ((pm[i][0], pool_enc[i]) for i in _rank_pool(pm, cfg.next_pick))
+    fresh = _admitted(ordered, hard, seen)
+    picked = list(fresh if cfg.next_pick == "all" else islice(fresh, 1))
     if not picked:
-        picked = [_uniform_hard_feasible(problem, archive, rng)]
+        draws = (sample_uniform(space, rng) for _ in range(1000))
+        fresh = _admitted(((c, encode(space, c)) for c in draws), hard, seen)
+        picked = list(islice(fresh, 1))
+    if not picked:
+        raise EngineError(
+            "could not draw a fresh hard-feasible candidate; the feasible region "
+            "may be empty or fully explored"
+        )
     return Proposal(picked=picked, pm=pm, models=models)
 
 
@@ -242,9 +241,6 @@ def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> l
         rest = [i for i in range(len(pm)) if i != idx]
         return [idx] + rest
     acq = np.vstack([vec for _, vec in pm])
-    if not acq.any():
-        # every acquisition value is zero: nothing to rank on
-        return list(range(len(pm)))
     # closeness is invariant under positive column scaling, and rescaling by
     # the column maximum keeps near-underflow acquisition values normalizable
     peak = acq.max(axis=0)
@@ -269,8 +265,7 @@ def _topsis(
     if weights is None:
         weights = np.full(m, 1.0 / m)
     else:
-        DecisionMatrix(x, weights, (direction,) * len(keep))  # rejects bad weights before the drop
-        weights = np.asarray(weights, dtype=float).reshape(-1)[keep]
+        weights = check_weights(weights, len(keep))[keep]  # checked before the drop
     return topsis_rank(DecisionMatrix(x[:, keep], weights, (direction,) * m))
 
 
@@ -393,7 +388,6 @@ def explore(
             failures = 0
 
     archive.stop_reason = stop_reason
-    archive.iterations_used = len(archive)
     return archive
 
 
@@ -410,21 +404,14 @@ def exploit(
     local_front = pareto_front(q)
     pof = [feasible[i] for i in local_front]
 
-    if len(pof) == 1:
-        closeness = {pof[0]: 0.5}
-        best = pof[0]
-    else:
-        result = _topsis(q[local_front], COST, weights)
-        closeness = {pof[i]: float(result.closeness[i]) for i in range(len(pof))}
-        best = pof[int(result.ranking[0])]
-
+    result = _topsis(q[local_front], COST, weights)
     return RunResult(
         archive=archive,
         pof=pof,
-        best_index=best,
-        closeness=closeness,
+        best_index=pof[int(result.ranking[0])],
+        closeness={pof[i]: float(result.closeness[i]) for i in range(len(pof))},
         stop_reason=archive.stop_reason,
-        iterations_used=archive.iterations_used or len(archive),
+        iterations_used=len(archive),
     )
 
 
@@ -437,7 +424,6 @@ def run(
 ) -> RunResult:
     """Explore then exploit: the full loop from problem to recommendation."""
     if weights is not None:  # exploit's weight rule, checked before any evaluation
-        k = problem.n_objectives
-        DecisionMatrix(np.ones((1, k)), weights, (COST,) * k)
+        check_weights(weights, problem.n_objectives)
     archive = explore(problem, cfg, initial_candidates, on_observation)
     return exploit(archive, weights)

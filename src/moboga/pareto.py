@@ -48,36 +48,32 @@ def _as_score_matrix(pop) -> np.ndarray:
     return scores
 
 
-def _domination_matrix(scores: np.ndarray) -> np.ndarray:
-    """dom[i, j] is True iff member i dominates member j.
+def fast_nondominated_sort(pop) -> FrontPartition:
+    """Partition the population into fronts F_1, F_2, ... with their crowding."""
+    scores = _as_score_matrix(pop)
+    return _partition(scores, _rank(scores))
 
-    One (N, N) comparison per objective: AND of the <=, OR of the <.
+
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """Front numbers, 1-based: the sweep for two objectives, else the peel."""
+    return _sweep_rank(scores) if scores.shape[1] == 2 else _peel_rank(scores)
+
+
+def _peel_rank(scores: np.ndarray) -> np.ndarray:
+    """Front numbers by peeling fronts from the domination matrix.
+
+    dom[i, j] is True iff member i dominates member j: one (N, N) comparison
+    per objective, AND of the <=, OR of the <. counts[q] is the number of
+    members dominating q. The members with no dominator left and no rank yet
+    form the next front; removing that front subtracts its rows of the matrix
+    from the counts to reveal the one after.
     """
     n = len(scores)
     le, lt = np.ones((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
     for v in scores.T:
         le &= v[:, None] <= v
         lt |= v[:, None] < v
-    return le & lt
-
-
-def fast_nondominated_sort(pop) -> FrontPartition:
-    """Partition the population into fronts F_1, F_2, ... with their crowding.
-
-    Two objectives take the O(N log N) sweep, any other count the peel."""
-    scores = _as_score_matrix(pop)
-    rank = _sweep_rank(scores) if scores.shape[1] == 2 else _peel_rank(scores)
-    return _partition(scores, rank)
-
-
-def _peel_rank(scores: np.ndarray) -> np.ndarray:
-    """Front numbers by peeling fronts from the domination matrix.
-
-    counts[q] is the number of members dominating q. The members with no
-    dominator left and no rank yet form the next front; removing that front
-    subtracts its rows of the matrix from the counts to reveal the one after.
-    """
-    dom = _domination_matrix(scores)
+    dom = le & lt
     counts = dom.sum(axis=0)
     rank = np.zeros(len(scores), dtype=int)
     front = np.flatnonzero(counts == 0)
@@ -164,9 +160,7 @@ def _crowding(scores: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
 def pareto_front(pop) -> list[int]:
     """Indices of the members dominated by no other member (F_1)."""
-    scores = _as_score_matrix(pop)
-    dom = _domination_matrix(scores)
-    return np.flatnonzero(~dom.any(axis=0)).tolist()
+    return np.flatnonzero(_rank(_as_score_matrix(pop)) == 1).tolist()
 
 
 def generational_distance(front, reference) -> float:

@@ -152,38 +152,25 @@ CONSTRAINT_SETS = {
 }
 
 
-def binh_korn_problem() -> Problem:
-    space = SearchSpace((ContinuousParam("x", 0.0, 5.0), ContinuousParam("y", 0.0, 3.0)))
+def _builtin(name: str, *params: ContinuousParam) -> Problem:
+    """The built-in problem over params; the tables above give the rest."""
+    evaluator, objective_names = EVALUATORS[name]
     return Problem(
-        space=space,
-        evaluator=_binh_korn_evaluator,
-        objective_names=("q1", "q2"),
-        constraints=binh_korn_constraints(),
-        name="binh-korn",
+        SearchSpace(params), evaluator, objective_names, CONSTRAINT_SETS[name](), name=name
     )
+
+
+def binh_korn_problem() -> Problem:
+    return _builtin("binh-korn", ContinuousParam("x", 0.0, 5.0), ContinuousParam("y", 0.0, 3.0))
 
 
 def constr_ex_problem() -> Problem:
-    space = SearchSpace((ContinuousParam("x", 0.1, 1.0), ContinuousParam("y", 0.0, 5.0)))
-    return Problem(
-        space=space,
-        evaluator=_constr_ex_evaluator,
-        objective_names=("q1", "q2"),
-        constraints=constr_ex_constraints(),
-        name="constr-ex",
-    )
+    return _builtin("constr-ex", ContinuousParam("x", 0.1, 1.0), ContinuousParam("y", 0.0, 5.0))
 
 
 def sinusoid_problem() -> Problem:
     """Single objective with a hard-excluded band and a softly penalized tail."""
-    space = SearchSpace((ContinuousParam("x", 0.0, 1.2),))
-    return Problem(
-        space=space,
-        evaluator=_sinusoid_evaluator,
-        objective_names=("q",),
-        constraints=sinusoid_constraints(),
-        name="sinusoid-1d",
-    )
+    return _builtin("sinusoid-1d", ContinuousParam("x", 0.0, 1.2))
 
 
 BUILTIN_PROBLEMS = {

@@ -2,15 +2,14 @@
 
 The first line is a header (format version, config snapshot, space, seed), one
 line follows per observation as it is evaluated, and a final line carries the
-exploitation result. Appending whole lines means a killed run leaves a record
-whose observation list is a valid prefix; the loader also tolerates a torn
-trailing line.
+exploitation result, which must be the last line. Appending whole lines means
+a killed run leaves a record whose observation list is a valid prefix; the
+loader also tolerates a torn trailing line.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, IO, Optional, Sequence
@@ -26,6 +25,7 @@ from .space import (
     SearchSpace,
     encode,
 )
+from .topsis import check_weights
 
 FORMAT_VERSION = 1
 
@@ -147,17 +147,12 @@ class LoadedRecord:
         return self.header.get("weights")
 
 
-def _check_weights(weights: Any, k: int) -> None:
-    if weights is not None and not (
-        isinstance(weights, list) and len(weights) == k
-        and all(type(w) in (int, float) and 0 < w < math.inf for w in weights)
-    ):
-        raise ValueError(
-            f"weights {weights!r}: need null or one finite positive number per objective"
-        )
-
-
 def _check_result(result: dict[str, Any], n_observations: int) -> None:
+    if result["iterations_used"] != n_observations:
+        raise ValueError(
+            f"iterations_used {result['iterations_used']} differs from the "
+            f"{n_observations} observations"
+        )
     pof = result["pof"]
     if not all(0 <= i < n_observations for i in pof):
         raise ValueError(f"pof {pof} has an index outside the {n_observations} observations")
@@ -204,9 +199,12 @@ def load_record(path: str) -> LoadedRecord:
     try:
         space = space_from_json(header["space"])
         header["objective_names"] = list(header["objective_names"])
-        _check_weights(header.get("weights"), len(header["objective_names"]))
+        if header.get("weights") is not None:
+            check_weights(header["weights"], len(header["objective_names"]))
         for lineno, doc in docs[1:]:
             kind = doc.get("kind")
+            if result is not None:
+                raise RecordError(f"record {path!r}: line {lineno} follows the result line")
             if kind == "observation":
                 candidate = Candidate(dict(doc["values"]))
                 encoded = encode(space, candidate)
@@ -224,7 +222,7 @@ def load_record(path: str) -> LoadedRecord:
             elif kind == "result":
                 result = doc
                 archive.stop_reason = result["stop_reason"]
-                archive.iterations_used = int(result["iterations_used"])
+                result["iterations_used"] = int(result["iterations_used"])
                 result["pof"] = [int(i) for i in result["pof"]]
                 result["best_index"] = int(result["best_index"])
                 result["closeness"] = {int(i): float(v) for i, v in result["closeness"]}
@@ -234,6 +232,4 @@ def load_record(path: str) -> LoadedRecord:
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordError(f"record {path!r}: bad field on line {lineno}: {exc!r}") from exc
 
-    if result is None:
-        archive.iterations_used = len(archive)
     return LoadedRecord(header=header, space=space, archive=archive, result=result)

@@ -6,6 +6,7 @@ d_worst / (d_best + d_worst) and ranked descending, ties to the lower index.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,20 @@ class TopsisError(ValueError):
     """The decision matrix cannot be ranked (e.g. an all-zero criterion column)."""
 
 
+def check_weights(weights, n: int) -> np.ndarray:
+    """The weights as floats, if they are one finite, positive real number per
+    criterion (a bool is not a number here); TopsisError otherwise."""
+    real = isinstance(weights, (list, tuple, np.ndarray)) and all(
+        isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights
+    )
+    w = np.asarray(weights, dtype=float) if real else None
+    if w is None or len(w) != n or not np.all(np.isfinite(w) & (w > 0)):
+        raise TopsisError(
+            f"weights {weights!r}: need one finite positive number per criterion ({n})"
+        )
+    return w
+
+
 @dataclass(frozen=True)
 class DecisionMatrix:
     x: np.ndarray                 # (m alternatives, n criteria)
@@ -28,9 +43,7 @@ class DecisionMatrix:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if x.size == 0 or not np.all(np.isfinite(x)):
             raise TopsisError("matrix must be non-empty and finite")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != x.shape[1] or not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise TopsisError("weights must be positive, one per criterion")
+        w = check_weights(self.weights, x.shape[1])
         directions = tuple(self.directions)
         if len(directions) != x.shape[1] or any(d not in (COST, BENEFIT) for d in directions):
             raise TopsisError(f"directions must be {COST!r} or {BENEFIT!r}, one per criterion")

@@ -379,8 +379,13 @@ class TestFront:
             ({"pof": [0, 999], "best_index": 999, "closeness": [[0, 1.0], [999, 0.5]]},
              "outside"),
             ({"best_index": 5}, "best_index"),
+            ({"iterations_used": 0}, "iterations_used"),
+            ({"iterations_used": 2}, "iterations_used"),
         ],
-        ids=["closeness-misses-pof", "pof-outside-archive", "best-not-on-front"],
+        ids=[
+            "closeness-misses-pof", "pof-outside-archive", "best-not-on-front",
+            "iterations-used-short", "iterations-used-long",
+        ],
     )
     def test_result_line_inconsistent_with_the_archive_is_a_runtime_error(
         self, tmp_path, capsys, change, culprit
@@ -389,6 +394,24 @@ class TestFront:
         assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, result) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "line 3" in err and culprit in err
+
+    @pytest.mark.parametrize(
+        "after",
+        [dict(OBSERVATION, values={"x": 0.25}, encoded=[0.25]), RESULT],
+        ids=["observation", "second-result"],
+    )
+    def test_line_after_the_result_line_is_a_runtime_error(self, tmp_path, capsys, after):
+        docs = (self.HEADER, self.OBSERVATION, self.RESULT, after)
+        assert self.front_of(tmp_path, *docs) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 4" in err and "follows the result line" in err
+
+    def test_torn_line_after_the_result_line_is_tolerated(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        docs = (self.HEADER, self.OBSERVATION, self.RESULT)
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs) + '{"kind": "obser')
+        record = load_record(str(path))
+        assert len(record.archive) == 1 and record.result["iterations_used"] == 1
 
 
 class TestVerify:

@@ -19,6 +19,7 @@ from moboga.engine import (
 )
 from moboga.nsga2 import GaConfig
 from moboga.objectives import ConstraintSpec, Problem, all_satisfied
+from moboga.pareto import fast_nondominated_sort
 from moboga.problems import binh_korn_problem
 from moboga.space import Candidate, ContinuousParam, SearchSpace, encode
 from moboga.surrogate import GpModel
@@ -285,6 +286,54 @@ class TestProposeNext:
         for cand in proposal.picked:
             assert archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL
 
+    @staticmethod
+    def fixed_pool(monkeypatch, genomes, scores):
+        """Make the GA return genomes with scores, every one of them on F_1."""
+        genomes, scores = np.asarray(genomes, dtype=float), np.asarray(scores, dtype=float)
+        part = fast_nondominated_sort(np.zeros((len(genomes), 1)))
+        monkeypatch.setattr(
+            engine, "nsga2_run", lambda score_fn, cfg, space: (genomes, scores, part)
+        )
+
+    def test_pool_on_archived_points_falls_back_to_a_fresh_hard_feasible_draw(self, monkeypatch):
+        hard = ConstraintSpec("left", predicate=lambda c: c["x"] < 0.5)
+        problem = parabola_problem([hard])
+        archive = archive_of(problem.space, [(0.1, [0.04]), (0.3, [0.0]), (0.45, [0.0225])])
+        self.fixed_pool(monkeypatch, archive.encoded_matrix(), [[-1.0], [-1.0], [-1.0]])
+        cfg = EngineConfig(ga=SMALL_GA)
+        proposal = propose_next(archive, problem, cfg, np.random.default_rng(0))
+        [pick] = proposal.picked
+        assert pick["x"] < 0.5
+        assert archive.min_distance(encode(problem.space, pick)) > DUPLICATE_TOL
+        assert pick.values not in [c.values for c, _ in proposal.pm]
+
+    def test_hard_constraint_that_never_holds_is_an_engine_error(self):
+        never = ConstraintSpec("never", predicate=lambda c: False)
+        problem = parabola_problem([never])
+        archive = archive_of(problem.space, [(0.1, [0.04]), (0.7, [0.16])])
+        with pytest.raises(EngineError, match="could not draw a fresh hard-feasible candidate"):
+            propose_next(archive, problem, EngineConfig(ga=SMALL_GA), np.random.default_rng(0))
+
+    def test_topsis_pick_stops_checking_at_the_first_admissible_member(self, monkeypatch):
+        checked = []
+
+        def predicate(c):
+            checked.append(c["x"])
+            return True
+
+        space = space_1d()
+        problem = Problem(
+            space, lambda c: (c["x"], 1.0 - c["x"]), ("q1", "q2"),
+            (ConstraintSpec("open", predicate=predicate),),
+        )
+        archive = archive_of(space, [(0.0, [0.0, 1.0]), (1.0, [1.0, 0.0])])
+        acquisition = np.array([[4.0, 1.0], [3.0, 3.0], [2.5, 2.5], [1.0, 4.0]])
+        self.fixed_pool(monkeypatch, [[0.2], [0.4], [0.6], [0.8]], -acquisition)
+        cfg = EngineConfig(ga=SMALL_GA)
+        proposal = propose_next(archive, problem, cfg, np.random.default_rng(0))
+        assert [c["x"] for c in proposal.picked] == [0.4]  # the balanced member ranks first
+        assert checked == [0.4]
+
     def test_all_mode_returns_the_whole_pool(self):
         problem = two_obj_problem()
         archive = archive_of(
@@ -352,6 +401,14 @@ class TestExploit:
         archive = archive_of(space, [(0.5, [1.0], 0, False)])
         with pytest.raises(NoFeasibleResultError):
             exploit(archive)
+
+    def test_weights_are_checked_on_a_one_member_front(self):
+        space = space_1d()
+        archive = archive_of(space, [(0.5, [1.0, 2.0])])
+        assert exploit(archive, weights=[1.0, 3.0]).closeness == {0: 0.5}
+        for bad in ([1, 2, 3], [True, 1.0], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="weights"):
+                exploit(archive, weights=bad)
 
     def test_dominated_point_excluded_and_tie_break_documented(self):
         # (6,6) is dominated by (5,5); the remaining rows all sum to 10 so

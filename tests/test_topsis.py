@@ -87,8 +87,16 @@ class TestRank:
         assert res.ranking.tolist() == [0, 1, 2, 3]
 
     def test_weights_must_be_positive(self):
-        with pytest.raises(TopsisError):
+        with pytest.raises(TopsisError, match="weights"):
             DecisionMatrix([[1.0]], np.array([0.0]), (COST,))
+
+    @pytest.mark.parametrize(
+        "weights", [[-1.0], [np.nan], [np.inf], [True], ["1"], [1.0, 1.0]],
+        ids=["negative", "nan", "inf", "bool", "string", "long"],
+    )
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(TopsisError, match="weights"):
+            DecisionMatrix([[1.0]], weights, (COST,))
 
     def test_directions_validated(self):
         with pytest.raises(TopsisError):
