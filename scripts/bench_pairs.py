@@ -6,7 +6,12 @@ Usage, from the repository root::
         --pairs binh-korn=10 --pairs mixed-soft=5 --pairs deep-archive=5
 
 The parent commit is unpacked with ``git archive REV | tar -x`` into a
-temporary directory; the change side is the working tree this script sits in.
+temporary directory. The change side is a copy of the working tree this script
+sits in (its tracked files and its untracked, not ignored, ones) in another.
+Both sides thus run from fresh directories: on a 2-vCPU host,
+``setup_probe.py`` run from the working tree itself took about 5% less time
+than from a fresh copy of the same files.
+
 For each workload, pair i runs ``python3 perfbench/run.py --trace 0`` on both
 sides with seed ``--first-seed + i``, one process at a time, and alternates
 which side runs first. The result lines go to ``BENCH_<label>.json`` at the
@@ -14,6 +19,16 @@ repository root, with a per-workload summary of every end-to-end metric that
 ``BENCHMARK.json`` declares: each side's median and quartiles, the pairs the
 change won (better in the metric's direction) and the ties, which count for
 neither side.
+
+``--setup-pairs N`` adds N alternated pairs of ``perfbench/setup_probe.py``
+processes per workload, each timed from spawn until the probe has imported
+moboga and built the workload, as ``perfbench/bench.py``'s ``measure_setup``
+times ``setup_s``; pair i runs the parent first when i is even. Each side's
+samples, in pair order, and the same summary go under ``setup_probe``. The
+set-up pairs cover the workloads given with ``--pairs``, or every workload in
+``BENCHMARK.json`` when there is no ``--pairs``::
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --label edges --setup-pairs 10
 """
 from __future__ import annotations
 
@@ -21,10 +36,12 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +69,18 @@ def _snapshot(rev: str, into: Path) -> str:
     return commit
 
 
+def _copy_worktree(into: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in names:
+        if name and (ROOT / name).is_file():  # a tracked file may be deleted
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run; its last line of output, parsed."""
     done = subprocess.run(
@@ -75,25 +104,48 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(q1, 5), round(q3, 5)]
 
 
+def _compare(parent: list[float], change: list[float], lower: bool) -> dict:
+    """Both sides' median and quartiles, the pairs the change won, and the ties."""
+    return {
+        "parent_median": round(statistics.median(parent), 5),
+        "parent_quartiles": _quartiles(parent),
+        "change_median": round(statistics.median(change), 5),
+        "change_quartiles": _quartiles(change),
+        "change_wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+        "ties": sum(p == c for p, c in zip(parent, change)),
+    }
+
+
 def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     out: dict = {"pairs": len(pairs)}
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         value = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
-        wins = sum(
-            (c < p) if lower else (c > p) for p, c in zip(value["parent"], value["change"])
-        )
-        ties = sum(p == c for p, c in zip(value["parent"], value["change"]))
-        out[name] = {
-            "parent_median": round(statistics.median(value["parent"]), 5),
-            "parent_quartiles": _quartiles(value["parent"]),
-            "change_median": round(statistics.median(value["change"]), 5),
-            "change_quartiles": _quartiles(value["change"]),
-            "change_wins": wins,
-            "ties": ties,
-        }
+        out[name] = _compare(value["parent"], value["change"], metric["better"] == "lower")
     out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     return out
+
+
+def _setup_time(checkout: Path, workload: str) -> float:
+    """Seconds from spawning the set-up probe until it has built the workload."""
+    t0 = time.clock_gettime(time.CLOCK_MONOTONIC)
+    done = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "setup_probe.py"), workload],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1]) - t0
+
+
+def _setup_pairs(checkouts: dict[str, Path], workload: str, count: int) -> dict:
+    """count alternated set-up probe pairs of one workload, with their summary."""
+    samples: dict[str, list[float]] = {s: [] for s in SIDES}
+    for i in range(count):
+        for side in (SIDES[i % 2], SIDES[1 - i % 2]):
+            samples[side].append(round(_setup_time(checkouts[side], workload), 5))
+    out = {"pairs": count, **_compare(samples["parent"], samples["change"], lower=True)}
+    print(f"{workload} set-up: parent {out['parent_median']:.4f} s, "
+          f"change {out['change_median']:.4f} s", flush=True)
+    return {**out, "samples": samples}
 
 
 def _host() -> str:
@@ -108,8 +160,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
-    parser.add_argument("--pairs", type=_workload_pairs, action="append", required=True,
+    parser.add_argument("--pairs", type=_workload_pairs, action="append", default=[],
                         metavar="WORKLOAD=PAIRS")
+    parser.add_argument("--setup-pairs", type=int, default=0, metavar="N",
+                        help="set-up probe pairs per workload (default 0)")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--what", default="perfbench result lines of the parent commit "
                                           "and of the change, measured back to back")
@@ -124,12 +178,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {sorted(known)}")
     if len(set(names)) != len(names):
         parser.error("give each workload's --pairs once")
+    if args.setup_pairs < 0 or not (names or args.setup_pairs):
+        parser.error("give --pairs, a positive --setup-pairs, or both")
 
     pairs: list[dict] = []
     summary: dict = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        parent_commit = _snapshot(args.parent, Path(tmp))
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        for checkout in checkouts.values():
+            checkout.mkdir()
+        parent_commit = _snapshot(args.parent, checkouts["parent"])
+        _copy_worktree(checkouts["change"])
         for workload, count in args.pairs:
             done: list[dict] = []
             for i in range(count):
@@ -145,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"parent {p50[0]:.4f} s, change {p50[1]:.4f} s", flush=True)
             pairs += done
             summary[workload] = _summary(done, bench["end_to_end"])
+        setup_names = (names or [w["name"] for w in bench["workloads"]]) if args.setup_pairs else []
+        setup = {name: _setup_pairs(checkouts, name, args.setup_pairs) for name in setup_names}
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
@@ -155,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         "order": "pairs alternate which side ran first ('first')",
         "summary": summary,
         "pairs": pairs,
+        "setup_command": "python3 perfbench/setup_probe.py W, timed from spawn",
+        "setup_probe": setup,
     }, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -36,14 +36,8 @@ from .problems import (
     grid_reference_front,
     sinusoid_1d,
 )
-from .record import LoadedRecord, RecordError, RunRecordWriter, load_record
-from .space import (
-    Candidate,
-    CategoricalParam,
-    ContinuousParam,
-    DiscreteParam,
-    SearchSpace,
-)
+from .record import LoadedRecord, RecordError, RunRecordWriter, load_record, space_from_json
+from .space import Candidate
 from .surrogate import GpNumericalError
 from .topsis import TopsisError, check_weights
 
@@ -88,6 +82,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _label_list(raw: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+# every key a [param.<name>] section may hold; which ones a type needs is the
+# record's space reader's rule
+_PARAM_KEYS = {"type": str, "lo": float, "hi": float,
+               "values": _float_list, "labels": _label_list}
+
+
 def _parse_value(section: str, key: str, raw: str, cast):
     try:
         return cast(raw)
@@ -95,28 +99,14 @@ def _parse_value(section: str, key: str, raw: str, cast):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
 
 
-def _space_from_config(parser: configparser.ConfigParser) -> Optional[SearchSpace]:
-    params = []
-    for section in parser.sections():
-        if not section.startswith("param."):
-            continue
-        name = section[len("param."):]
-        kind = parser.get(section, "type", fallback=None)
-        if kind == "continuous":
-            lo = _parse_value(section, "lo", parser.get(section, "lo"), float)
-            hi = _parse_value(section, "hi", parser.get(section, "hi"), float)
-            params.append(ContinuousParam(name, lo, hi))
-        elif kind == "discrete":
-            values = _parse_value(section, "values", parser.get(section, "values"), _float_list)
-            params.append(DiscreteParam(name, tuple(values)))
-        elif kind == "categorical":
-            labels = [t.strip() for t in parser.get(section, "labels").split(",") if t.strip()]
-            params.append(CategoricalParam(name, tuple(labels)))
-        else:
-            raise ConfigError(f"{section}.type: unknown parameter type {kind!r}")
-    if not params:
-        return None
-    return SearchSpace(tuple(params))
+def _read_section(parser: configparser.ConfigParser, section: str, casts) -> dict[str, Any]:
+    """The keys of a section, each parsed by its cast; any other key is an error."""
+    values = {}
+    for key in parser.options(section) if parser.has_section(section) else ():
+        if key not in casts:
+            raise ConfigError(f"{section}.{key}: unknown key")
+        values[key] = _parse_value(section, key, parser.get(section, key), casts[key])
+    return values
 
 
 def load_config(path: Optional[str]) -> dict[str, Any]:
@@ -130,19 +120,19 @@ def load_config(path: Optional[str]) -> dict[str, Any]:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    values: dict[str, dict[str, Any]] = {}
-    for section, casts in _CONFIG_KEYS.items():
-        values[section] = {}
-        for key in parser.options(section) if parser.has_section(section) else ():
-            if key not in casts:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            values[section][key] = _parse_value(section, key, parser.get(section, key), casts[key])
+    values = {section: _read_section(parser, section, casts)
+              for section, casts in _CONFIG_KEYS.items()}
+    params = [
+        {"name": section[len("param."):], **_read_section(parser, section, _PARAM_KEYS)}
+        for section in parser.sections()
+        if section.startswith("param.")
+    ]
     problem = values["problem"]
     return {
         "problem": problem.get("name"),
         "evaluator": problem.get("evaluator"),
         "constraints": problem.get("constraints"),
-        "space": _space_from_config(parser),
+        "space": space_from_json(params) if params else None,
         "engine": values["engine"],
         "ga": values["ga"],
         "weights": values["objectives"].get("weights"),

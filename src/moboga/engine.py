@@ -7,11 +7,14 @@ first proposal of a run fits its GPs cold; every later one passes the previous
 proposal's models back in, so each objective's evidence search starts from the
 hyperparameters it found on the previous, smaller archive. The non-dominated
 set of the final GA population, decoded and encoded once, is the informative
-pool. The pick admission rule: a candidate is admitted when it meets every hard
-constraint and sits more than ``DUPLICATE_TOL`` from every archived point and
-every pick admitted before it. TOPSIS orders the pool best-first, and the first
-admitted member is the next query (every admitted one with ``next_pick="all"``);
-when none is admitted, the first admitted one of up to 1000 uniform draws is.
+pool. Every point enters the archive through one admission rule: a candidate
+is admitted when it meets every hard constraint and sits more than
+``DUPLICATE_TOL`` from every point already in the archive or admitted before
+it. The initial design applies it too; its given candidates, and the
+least-violating draws that fill it once its draw budget runs out, skip only
+the hard check. TOPSIS orders the pool best-first, and the first admitted
+member is the next query (every admitted one with ``next_pick="all"``); when
+none is admitted, the first admitted one of up to 1000 uniform draws is.
 Exploration ends when the proposed point sits within ``delta`` of something
 already queried (in encoded space) or when the evaluation budget is exhausted.
 Exploitation extracts the Pareto front of the feasible observations and
@@ -27,7 +30,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -284,41 +287,32 @@ def _initial_design(
     rng: np.random.Generator,
     initial_candidates: Sequence[Candidate] | None,
 ) -> list[tuple[Candidate, np.ndarray]]:
-    """Uniform draws, rejecting hard-infeasible and duplicate ones; each
-    chosen candidate comes with its encoding.
+    """The first ``n_initial`` admitted candidates, each with its encoding.
 
-    If the rejection budget runs out the least-violating draws fill the
-    remainder, so callers on mostly-infeasible spaces still get a design.
+    The given candidates come first and skip only the hard check (every one of
+    them is validated). Uniform draws follow, hard-infeasible ones set aside;
+    if the draw budget runs out, the set-aside draws fill the remainder in
+    (violation, draw) order, so mostly-infeasible spaces still get a design.
     """
-    chosen: list[Candidate] = []
-    encodings: list[np.ndarray] = []
-
-    def admit(cand: Candidate, enc: np.ndarray) -> None:
-        if _min_distance(encodings, enc) > DUPLICATE_TOL:
-            chosen.append(cand)
-            encodings.append(enc)
-
-    for cand in initial_candidates or []:
-        enc = encode(problem.space, cand)  # validates every given candidate
-        if len(chosen) < cfg.n_initial:
-            admit(cand, enc)
-
+    space = problem.space
     hard = problem.hard_constraints
-    rejected: list[tuple[float, int, Candidate]] = []
     attempts = 100 * cfg.n_initial
-    for attempt in range(attempts):
-        if len(chosen) >= cfg.n_initial:
-            break
-        cand = sample_uniform(problem.space, rng)
-        if all_satisfied(hard, cand):
-            admit(cand, encode(problem.space, cand))
-        else:
-            rejected.append((total_violation(hard, cand), attempt, cand))
-    if len(chosen) < cfg.n_initial:
+
+    def drawn() -> Iterator[tuple[Candidate, np.ndarray]]:
+        rejected: list[tuple[float, int, Candidate]] = []
+        for attempt in range(attempts):
+            cand = sample_uniform(space, rng)
+            if all_satisfied(hard, cand):
+                yield cand, encode(space, cand)
+            else:
+                rejected.append((total_violation(hard, cand), attempt, cand))
         for _, _, cand in sorted(rejected, key=lambda t: (t[0], t[1])):
-            if len(chosen) >= cfg.n_initial:
-                break
-            admit(cand, encode(problem.space, cand))
+            yield cand, encode(space, cand)
+
+    given = list(initial_candidates or [])
+    encodings: list[np.ndarray] = []
+    pairs = chain(zip(given, encode(space, given)), drawn())
+    chosen = list(islice(_admitted(pairs, (), encodings), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
         raise EngineError(
             f"initialization exhausted {attempts} draws without collecting "
@@ -358,36 +352,29 @@ def explore(
             on_observation(obs)
         return True
 
-    failures = 0
     for cand, enc in _initial_design(problem, cfg, rng, initial_candidates):
-        if not record(cand, 0, enc):
-            failures += 1
+        record(cand, 0, enc)
     if len(archive) == 0:
         raise EngineError("every initial candidate failed evaluation")
 
     iteration = 0
-    stop_reason = MAX_ITERATIONS
+    failures = 0  # failed proposals in a row
     warm: tuple[GpModel, ...] | None = None  # the first proposal fits cold
     while len(archive) < cfg.max_iterations:
         iteration += 1
         proposal = propose_next(archive, problem, cfg, rng, warm=warm)
         warm = proposal.models
         if any(stop_check(archive, c, cfg.delta, problem.space) for c in proposal.picked):
-            stop_reason = STOP_THRESHOLD
+            archive.stop_reason = STOP_THRESHOLD
             break
         progressed = False
         for cand in proposal.picked:
             if len(archive) >= cfg.max_iterations:
                 break
             progressed |= record(cand, iteration, encode(problem.space, cand))
-        if not progressed:
-            failures += 1
-            if failures > 10:
-                raise EngineError("too many consecutive evaluation failures")
-        else:
-            failures = 0
-
-    archive.stop_reason = stop_reason
+        failures = 0 if progressed else failures + 1
+        if failures > 10:
+            raise EngineError("too many consecutive evaluation failures")
     return archive
 
 

@@ -38,30 +38,31 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# the record's name for each parameter type; an entry holds the parameter's
+# name, this type name and the type's other fields, in that order
+_PARAM_KINDS = {"continuous": ContinuousParam, "discrete": DiscreteParam,
+                "categorical": CategoricalParam}
+
+
 def space_to_json(space: SearchSpace) -> list[dict[str, Any]]:
-    out = []
-    for p in space.params:
-        if isinstance(p, ContinuousParam):
-            out.append({"name": p.name, "type": "continuous", "lo": p.lo, "hi": p.hi})
-        elif isinstance(p, DiscreteParam):
-            out.append({"name": p.name, "type": "discrete", "values": list(p.values)})
-        else:
-            out.append({"name": p.name, "type": "categorical", "labels": list(p.labels)})
-    return out
+    kinds = {cls: kind for kind, cls in _PARAM_KINDS.items()}
+    return [{"name": p.name, "type": kinds[type(p)], **dataclasses.asdict(p)} for p in space.params]
 
 
 def space_from_json(items: Sequence[dict[str, Any]]) -> SearchSpace:
+    """Each entry must hold a name, a known type and exactly that type's
+    fields; the ValueError for a missing or unknown key names ``param.<name>.<key>``."""
     params = []
     for item in items:
-        kind = item.get("type") if isinstance(item, dict) else None
-        if kind == "continuous":
-            params.append(ContinuousParam(item["name"], float(item["lo"]), float(item["hi"])))
-        elif kind == "discrete":
-            params.append(DiscreteParam(item["name"], tuple(item["values"])))
-        elif kind == "categorical":
-            params.append(CategoricalParam(item["name"], tuple(item["labels"])))
-        else:
+        cls = _PARAM_KINDS.get(item.get("type")) if isinstance(item, dict) else None
+        if cls is None:
             raise ValueError(f"space entry {item!r} is not an object with a known type")
+        keys = [f.name for f in dataclasses.fields(cls)]
+        wrong = sorted(item.keys() ^ {"type", *keys})
+        if wrong:
+            state = "unknown" if wrong[0] in item else "missing"
+            raise ValueError(f"param.{item.get('name')}.{wrong[0]}: {state} key for {item['type']}")
+        params.append(cls(*(item[key] for key in keys)))
     return SearchSpace(tuple(params))
 
 

@@ -154,6 +154,22 @@ class TestConfigFile:
         settings = load_config(str(cfg))
         assert settings["space"].names == ("x", "y")
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("type = continuous\nlo = 0\n", "param.x.hi"),
+            ("type = continuous\nlo = 0\nhi = 1\nstep = 3\n", "param.x.step"),
+        ],
+        ids=["missing-hi", "unknown-step"],
+    )
+    def test_param_section_keys_are_checked(self, tmp_path, capsys, body, key):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[problem]\nevaluator = binh-korn\n\n[param.x]\n{body}")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weights_parse(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[objectives]\nweights = 2, 1\n")
@@ -320,6 +336,21 @@ class TestFront:
         assert self.front_of(tmp_path, header, self.OBSERVATION) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "line 1" in err and missing in err
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"name": "x", "type": "continuous", "lo": 0.0}, "param.x.hi"),
+            ({"name": "x", "type": "continuous", "lo": 0.0, "hi": 1.0, "step": 3}, "param.x.step"),
+            ({"name": "x", "type": "continuous", "lo": "0", "hi": 1.0}, "line 1"),
+        ],
+        ids=["missing-hi", "unknown-step", "string-lo"],
+    )
+    def test_header_space_entry_keys_are_checked(self, tmp_path, capsys, entry, named):
+        header = dict(self.HEADER, space=[entry])
+        assert self.front_of(tmp_path, header, self.OBSERVATION) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 1" in err and named in err
 
     def test_malformed_observation_field_is_a_runtime_error(self, tmp_path, capsys):
         bad = dict(self.OBSERVATION, iteration="one")

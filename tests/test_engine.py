@@ -18,10 +18,24 @@ from moboga.engine import (
     stop_check,
 )
 from moboga.nsga2 import GaConfig
-from moboga.objectives import ConstraintSpec, Problem, all_satisfied
+from moboga.objectives import (
+    ConstraintSpec,
+    EvaluationError,
+    Problem,
+    all_satisfied,
+    total_violation,
+)
 from moboga.pareto import fast_nondominated_sort
 from moboga.problems import binh_korn_problem
-from moboga.space import Candidate, ContinuousParam, SearchSpace, encode
+from moboga.space import (
+    Candidate,
+    ContinuousParam,
+    DiscreteParam,
+    SearchSpace,
+    ValidationError,
+    encode,
+    sample_uniform,
+)
 from moboga.surrogate import GpModel
 
 SMALL_GA = GaConfig(population_size=16, generations=6)
@@ -227,6 +241,89 @@ class TestExplore:
         assert len(chosen) == 2
         assert all(np.array_equal(e, encode(problem.space, c)) for c, e in design)
         assert sum(abs(c["x"] - 0.5) < 1e-9 for c in chosen) == 1
+
+    def test_failures_in_the_initial_design_do_not_count_as_consecutive(self):
+        calls = {"n": 0}
+
+        def evaluator(c):
+            calls["n"] += 1
+            if calls["n"] > 12 or calls["n"] % 2:
+                raise EvaluationError("down")  # every other initial, then every proposal
+            return (c["x"],)
+
+        problem = Problem(space_1d(), evaluator, ("q",))
+        cfg = EngineConfig(n_initial=12, max_iterations=40, delta=1e-12, ga=SMALL_GA, seed=6)
+        with pytest.raises(EngineError, match="consecutive evaluation failures"):
+            explore(problem, cfg)
+        assert calls["n"] == 12 + 11
+
+
+class TestInitialDesign:
+    """The design's draw budget, its least-violating fill and its RNG use."""
+
+    @staticmethod
+    def replay(space, hard, seed, n_draws):
+        """Every budgeted draw of a fresh generator, the hard-feasible ones
+        first, then the others by (violation, draw); and that generator."""
+        rng = np.random.default_rng(seed)
+        draws = [sample_uniform(space, rng) for _ in range(n_draws)]
+        feasible = [c for c in draws if all_satisfied(hard, c)]
+        rejected = [(total_violation(hard, c), i) for i, c in enumerate(draws)
+                    if not all_satisfied(hard, c)]
+        return feasible, [draws[i] for _, i in sorted(rejected)], rng
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mostly_infeasible_fill_takes_the_least_violating_draws(self, seed):
+        hard = ConstraintSpec(
+            "tiny", predicate=lambda c: c["x"] < 0.002, violation=lambda c: c["x"] - 0.002
+        )
+        problem = parabola_problem([hard])
+        cfg = EngineConfig(n_initial=5, max_iterations=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        design = engine._initial_design(problem, cfg, rng, None)
+        feasible, fill, after = self.replay(problem.space, [hard], seed, 500)
+        assert len(feasible) < 5  # the budget runs out, so the fill is used
+        assert [c for c, _ in design] == (feasible + fill)[:5]
+        assert all(np.array_equal(e, encode(problem.space, c)) for c, e in design)
+        assert rng.random() == after.random()
+
+    def test_never_true_constraint_without_violation_fills_in_draw_order(self):
+        never = ConstraintSpec("never", predicate=lambda c: False)
+        problem = parabola_problem([never])
+        cfg = EngineConfig(n_initial=3, max_iterations=3, seed=9)
+        rng = np.random.default_rng(9)
+        design = engine._initial_design(problem, cfg, rng, None)
+        replay = np.random.default_rng(9)
+        draws = [sample_uniform(problem.space, replay) for _ in range(300)]
+        assert [c for c, _ in design] == draws[:3]
+        assert rng.random() == replay.random()
+
+    def test_given_candidates_skip_the_hard_check_but_not_the_duplicate_test(self):
+        hard = ConstraintSpec("left", predicate=lambda c: c["x"] < 0.5)
+        problem = parabola_problem([hard])
+        given = [Candidate({"x": 0.9}), Candidate({"x": 0.9}), Candidate({"x": 0.8})]
+        cfg = EngineConfig(n_initial=3, max_iterations=3, seed=2)
+        design = engine._initial_design(problem, cfg, np.random.default_rng(2), given)
+        chosen = [c for c, _ in design]
+        assert chosen[:2] == [given[0], given[2]]
+        assert chosen[2]["x"] < 0.5  # the one drawn slot is hard-feasible
+
+    def test_given_candidates_past_the_design_size_are_still_validated(self):
+        problem = parabola_problem()
+        given = [Candidate({"x": 0.1}), Candidate({"x": 0.2}), Candidate({"x": 7.0})]
+        cfg = EngineConfig(n_initial=2, max_iterations=2)
+        with pytest.raises(ValidationError, match="'x'"):
+            engine._initial_design(problem, cfg, np.random.default_rng(0), given)
+
+    def test_too_small_a_space_exhausts_the_draw_budget(self):
+        space = SearchSpace((DiscreteParam("k", (1.0, 2.0)),))
+        problem = Problem(space, lambda c: (c["k"],), ("q",))
+        cfg = EngineConfig(n_initial=3, max_iterations=3)
+        with pytest.raises(
+            EngineError,
+            match="initialization exhausted 300 draws without collecting 3 distinct candidates",
+        ):
+            engine._initial_design(problem, cfg, np.random.default_rng(0), None)
 
 
 class TestProposeNext:
