@@ -10,6 +10,8 @@ Each side runs, one process at a time and with one BLAS thread:
 
 * ``moboga run --problem P --iters 20 --seed 7`` for each built-in problem P
 * ``moboga run --config configs/binh_korn.ini --iters 16``
+* ``moboga run --config configs/mixed_space.ini`` (continuous, discrete and
+  categorical parameters), read from this checkout on both sides
 * ``moboga verify --all``
 
 The run records are compared document by document without their wall-clock
@@ -33,6 +35,8 @@ RUNS = {
     **{p: ["--problem", p, "--iters", "20", "--seed", "7"]
        for p in ("binh-korn", "constr-ex", "sinusoid-1d")},
     "binh-korn-config": ["--config", "configs/binh_korn.ini", "--iters", "16"],
+    # absolute, so that a parent without the file runs it too
+    "mixed-space-config": ["--config", str(ROOT / "configs" / "mixed_space.ini")],
 }
 CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
 

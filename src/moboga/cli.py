@@ -111,7 +111,9 @@ def _read_section(parser: configparser.ConfigParser, section: str, casts) -> dic
 
 def load_config(path: Optional[str]) -> dict[str, Any]:
     """Read the INI-style config into a plain settings dict."""
-    parser = configparser.ConfigParser()
+    # no header names the empty section, so [DEFAULT] is read as a section of
+    # its own instead of being merged into every other one
+    parser = configparser.ConfigParser(default_section="")
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -119,6 +121,10 @@ def load_config(path: Optional[str]) -> dict[str, Any]:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS and not section.startswith("param."):
+            expected = ", ".join(_CONFIG_KEYS)
+            raise ConfigError(f"[{section}]: unknown section (expected {expected} or param.<name>)")
 
     values = {section: _read_section(parser, section, casts)
               for section, casts in _CONFIG_KEYS.items()}

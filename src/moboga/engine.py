@@ -13,10 +13,11 @@ is admitted when it meets every hard constraint and sits more than
 it. The initial design applies it too; its given candidates, and the
 least-violating draws that fill it once its draw budget runs out, skip only
 the hard check. TOPSIS orders the pool best-first, and the first admitted
-member is the next query (every admitted one with ``next_pick="all"``); when
-none is admitted, the first admitted one of up to 1000 uniform draws is.
-Exploration ends when the proposed point sits within ``delta`` of something
-already queried (in encoded space) or when the evaluation budget is exhausted.
+member is the one query of the proposal; when none is admitted, the first
+admitted one of up to 1000 uniform draws is. The query keeps the encoding it
+was admitted with: the stop rule measures it and the archive stores it.
+Exploration ends when the query sits within ``delta`` of something already
+queried (in encoded space) or when the evaluation budget is exhausted.
 Exploitation extracts the Pareto front of the feasible observations and
 recommends one of them via TOPSIS.
 
@@ -46,7 +47,7 @@ from .objectives import (
     total_violation,
 )
 from .pareto import pareto_front
-from .space import Candidate, SearchSpace, decode, encode, sample_uniform
+from .space import Candidate, decode, encode, sample_uniform
 from .surrogate import GpModel, gp_fit
 from .topsis import COST, BENEFIT, DecisionMatrix, TopsisResult, check_weights, topsis_rank
 
@@ -141,13 +142,13 @@ class EngineConfig:
             )
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if isinstance(self.next_pick, str) and self.next_pick not in ("topsis", "all"):
-            raise ValueError("next_pick must be 'topsis', 'all', or a callable")
+        if isinstance(self.next_pick, str) and self.next_pick != "topsis":
+            raise ValueError("next_pick must be 'topsis' or a callable")
 
 
 @dataclass(frozen=True)
 class Proposal:
-    picked: list[Candidate]
+    picked: tuple[Candidate, np.ndarray]  # the query with its admission encoding
     pm: list[tuple[Candidate, np.ndarray]]  # informative pool with acquisition vectors
     models: tuple[GpModel, ...]             # the fitted surrogate of each objective
 
@@ -166,13 +167,13 @@ def _admitted(
     pairs: Iterable[tuple[Candidate, np.ndarray]],
     hard: Sequence[ConstraintSpec],
     seen: list[np.ndarray],
-) -> Iterator[Candidate]:
-    """The candidates of (candidate, encoding) pairs that pass the admission
-    rule against seen, lazily and in order; each admitted encoding joins seen."""
+) -> Iterator[tuple[Candidate, np.ndarray]]:
+    """The (candidate, encoding) pairs that pass the admission rule against
+    seen, lazily and in order; each admitted encoding joins seen."""
     for cand, enc in pairs:
         if all_satisfied(hard, cand) and _min_distance(seen, enc) > DUPLICATE_TOL:
             seen.append(enc)
-            yield cand
+            yield cand, enc
 
 
 def propose_next(
@@ -212,16 +213,12 @@ def propose_next(
     pm = list(zip(pool, -scores[part.fronts[0]]))
     pool_enc = encode(space, pool)
 
-    hard = problem.hard_constraints
-    seen = list(X)  # picks join it too: the pool may carry duplicate genomes
+    # the pool best-first, then (lazily, only if no member is admitted) draws
     ordered = ((pm[i][0], pool_enc[i]) for i in _rank_pool(pm, cfg.next_pick))
-    fresh = _admitted(ordered, hard, seen)
-    picked = list(fresh if cfg.next_pick == "all" else islice(fresh, 1))
-    if not picked:
-        draws = (sample_uniform(space, rng) for _ in range(1000))
-        fresh = _admitted(((c, encode(space, c)) for c in draws), hard, seen)
-        picked = list(islice(fresh, 1))
-    if not picked:
+    draws = (sample_uniform(space, rng) for _ in range(1000))
+    pairs = chain(ordered, ((c, encode(space, c)) for c in draws))
+    picked = next(_admitted(pairs, problem.hard_constraints, list(X)), None)
+    if picked is None:
         raise EngineError(
             "could not draw a fresh hard-feasible candidate; the feasible region "
             "may be empty or fully explored"
@@ -272,13 +269,11 @@ def _topsis(
     return topsis_rank(DecisionMatrix(x[:, keep], weights, (direction,) * m))
 
 
-def stop_check(
-    archive: Archive, nxt: Candidate, delta: float, space: SearchSpace
-) -> bool:
-    """Stop when the minimum encoded distance to the archive drops to delta."""
+def stop_check(archive: Archive, enc: np.ndarray, delta: float) -> bool:
+    """Stop when the encoded query enc sits within delta of the archive."""
     if len(archive) == 0:
         raise EngineError("stop_check needs a non-empty archive")
-    return archive.min_distance(encode(space, nxt)) <= delta
+    return archive.min_distance(enc) <= delta
 
 
 def _initial_design(
@@ -310,15 +305,14 @@ def _initial_design(
             yield cand, encode(space, cand)
 
     given = list(initial_candidates or [])
-    encodings: list[np.ndarray] = []
     pairs = chain(zip(given, encode(space, given)), drawn())
-    chosen = list(islice(_admitted(pairs, (), encodings), cfg.n_initial))
+    chosen = list(islice(_admitted(pairs, (), []), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
         raise EngineError(
             f"initialization exhausted {attempts} draws without collecting "
             f"{cfg.n_initial} distinct candidates"
         )
-    return list(zip(chosen, encodings))
+    return chosen
 
 
 def explore(
@@ -364,15 +358,11 @@ def explore(
         iteration += 1
         proposal = propose_next(archive, problem, cfg, rng, warm=warm)
         warm = proposal.models
-        if any(stop_check(archive, c, cfg.delta, problem.space) for c in proposal.picked):
+        cand, enc = proposal.picked
+        if stop_check(archive, enc, cfg.delta):
             archive.stop_reason = STOP_THRESHOLD
             break
-        progressed = False
-        for cand in proposal.picked:
-            if len(archive) >= cfg.max_iterations:
-                break
-            progressed |= record(cand, iteration, encode(problem.space, cand))
-        failures = 0 if progressed else failures + 1
+        failures = 0 if record(cand, iteration, enc) else failures + 1
         if failures > 10:
             raise EngineError("too many consecutive evaluation failures")
     return archive

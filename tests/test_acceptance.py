@@ -274,11 +274,11 @@ def test_criterion_10_stop_rule():
         return archive
 
     # exact duplicate stops
-    assert stop_check(make_archive([0.5]), Candidate({"x": 0.5}), 1e-3, space)
+    assert stop_check(make_archive([0.5]), encode(space, Candidate({"x": 0.5})), 1e-3)
     # far point continues
-    assert not stop_check(make_archive([0.0]), Candidate({"x": 1.0}), 1e-3, space)
+    assert not stop_check(make_archive([0.0]), encode(space, Candidate({"x": 1.0})), 1e-3)
     # d = 4e-4 <= 1e-3 stops
-    assert stop_check(make_archive([0.0, 0.5]), Candidate({"x": 0.5004}), 1e-3, space)
+    assert stop_check(make_archive([0.0, 0.5]), encode(space, Candidate({"x": 0.5004})), 1e-3)
 
     # an engine run whose delta exceeds the space diameter stops right after
     # the first proposal, leaving exactly the initial design in the archive

@@ -144,6 +144,32 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg), "-o", str(tmp_path / "r.jsonl")]) == EXIT_CONFIG
         assert "ga.seed: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, section",
+        [
+            ("[DEFAULT]\nseed = 3\n\n[problem]\nname = binh-korn\n", "[DEFAULT]"),
+            ("[problem]\nname = binh-korn\n\n[engin]\nseed = 4\n", "[engin]"),
+        ],
+        ids=["default", "misspelt-engine"],
+    )
+    def test_unknown_section_is_named(self, tmp_path, capsys, text, section):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "--iters", "9", "-o", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section}: unknown section" in err
+        assert "problem.seed" not in err  # [DEFAULT] keys are not merged into [problem]
+        assert not out.exists()
+
+    def test_next_pick_all_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[problem]\nname = binh-korn\n\n[engine]\nnext_pick = all\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "--iters", "9", "-o", str(out)]) == EXIT_CONFIG
+        assert "next_pick" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_space_sections(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(

@@ -29,6 +29,7 @@ from moboga.pareto import fast_nondominated_sort
 from moboga.problems import binh_korn_problem
 from moboga.space import (
     Candidate,
+    CategoricalParam,
     ContinuousParam,
     DiscreteParam,
     SearchSpace,
@@ -112,9 +113,10 @@ class TestConfig:
             EngineConfig(delta=0.0)
 
     def test_next_pick_values(self):
-        with pytest.raises(ValueError):
-            EngineConfig(next_pick="sideways")
-        EngineConfig(next_pick="all")
+        for removed in ("sideways", "all"):
+            with pytest.raises(ValueError, match="next_pick"):
+                EngineConfig(next_pick=removed)
+        EngineConfig(next_pick="topsis")
         EngineConfig(next_pick=lambda pm: 0)
 
 
@@ -122,19 +124,19 @@ class TestStopCheck:
     def test_exact_duplicate_stops(self):
         space = space_1d()
         archive = archive_of(space, [(0.5, [1.0])])
-        assert stop_check(archive, Candidate({"x": 0.5}), 1e-3, space)
+        assert stop_check(archive, encode(space, Candidate({"x": 0.5})), 1e-3)
 
     def test_distant_point_continues(self):
         space = space_1d()
         archive = archive_of(space, [(0.0, [1.0])])
-        assert not stop_check(archive, Candidate({"x": 1.0}), 1e-3, space)
+        assert not stop_check(archive, encode(space, Candidate({"x": 1.0})), 1e-3)
 
     def test_close_point_stops_at_derived_distance(self):
         space = space_1d()
         archive = archive_of(space, [(0.0, [1.0]), (0.5, [2.0])])
         # min distance is |0.5004 - 0.5| = 4e-4 <= 1e-3
-        assert stop_check(archive, Candidate({"x": 0.5004}), 1e-3, space)
-        assert not stop_check(archive, Candidate({"x": 0.502}), 1e-3, space)
+        assert stop_check(archive, encode(space, Candidate({"x": 0.5004})), 1e-3)
+        assert not stop_check(archive, encode(space, Candidate({"x": 0.502})), 1e-3)
 
 
 class TestExplore:
@@ -172,6 +174,42 @@ class TestExplore:
         assert calls[0][0] is None
         for (_, before), (warm, _) in zip(calls, calls[1:]):
             assert warm is before
+
+    def test_each_query_carries_its_admission_encoding_to_the_archive(self, monkeypatch):
+        space = SearchSpace((
+            ContinuousParam("x", 0.0, 1.0),
+            DiscreteParam("k", (1.0, 2.0, 4.0)),
+            CategoricalParam("a", ("A", "B", "C")),
+        ))
+
+        def evaluator(c):
+            shift = {"A": 0.0, "B": 0.5, "C": 1.0}[c["a"]]
+            return (c["x"] + 0.1 * c["k"] + shift, (1.0 - c["x"]) * c["k"] + shift)
+
+        problem = Problem(space, evaluator, ("q1", "q2"))
+        cfg = EngineConfig(n_initial=4, max_iterations=9, ga=SMALL_GA, seed=5)
+        picks, checked = [], []
+
+        def propose_spy(*args, **kwargs):
+            proposal = propose_next(*args, **kwargs)
+            picks.append(proposal.picked)
+            return proposal
+
+        def stop_spy(archive, enc, delta):
+            checked.append(enc)
+            return stop_check(archive, enc, delta)
+
+        monkeypatch.setattr(engine, "propose_next", propose_spy)
+        monkeypatch.setattr(engine, "stop_check", stop_spy)
+        archive = explore(problem, cfg)
+
+        expected = encode(space, [o.candidate for o in archive.observations])
+        for o, row in zip(archive.observations, expected):
+            assert o.encoded.tobytes() == row.tobytes()
+        assert len(picks) == len(checked) == len(archive) - cfg.n_initial
+        for (cand, enc), seen, o in zip(picks, checked, archive.observations[cfg.n_initial:]):
+            assert seen is enc  # the stop rule measures the admitted encoding
+            assert o.candidate is cand and o.encoded is enc  # and the archive keeps it
 
     def test_huge_delta_stops_after_first_proposal(self):
         problem = two_obj_problem()
@@ -331,7 +369,9 @@ class TestProposeNext:
         problem = parabola_problem()
         archive = archive_of(problem.space, [(0.1, [0.04])])
         proposal = propose_next(archive, problem, EngineConfig(ga=SMALL_GA), np.random.default_rng(0))
-        assert len(proposal.picked) == 1
+        cand, enc = proposal.picked
+        assert isinstance(cand, Candidate)
+        assert np.array_equal(enc, encode(problem.space, cand))
 
     def test_models_are_one_fitted_gp_per_objective(self):
         problem = two_obj_problem()
@@ -372,16 +412,16 @@ class TestProposeNext:
         rng = np.random.default_rng(1)
         for _ in range(5):
             proposal = propose_next(archive, problem, EngineConfig(ga=SMALL_GA), rng)
-            for cand in proposal.picked:
-                assert cand["x"] < 0.5
+            cand, _ = proposal.picked
+            assert cand["x"] < 0.5
 
     def test_duplicate_pick_falls_back_to_fresh_candidate(self):
         problem = parabola_problem()
         archive = archive_of(problem.space, [(0.25, [0.0025]), (0.75, [0.2025])])
         rng = np.random.default_rng(2)
         proposal = propose_next(archive, problem, EngineConfig(ga=SMALL_GA), rng)
-        for cand in proposal.picked:
-            assert archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL
+        cand, _ = proposal.picked
+        assert archive.min_distance(encode(problem.space, cand)) > DUPLICATE_TOL
 
     @staticmethod
     def fixed_pool(monkeypatch, genomes, scores):
@@ -399,7 +439,7 @@ class TestProposeNext:
         self.fixed_pool(monkeypatch, archive.encoded_matrix(), [[-1.0], [-1.0], [-1.0]])
         cfg = EngineConfig(ga=SMALL_GA)
         proposal = propose_next(archive, problem, cfg, np.random.default_rng(0))
-        [pick] = proposal.picked
+        pick, _ = proposal.picked
         assert pick["x"] < 0.5
         assert archive.min_distance(encode(problem.space, pick)) > DUPLICATE_TOL
         assert pick.values not in [c.values for c, _ in proposal.pm]
@@ -428,18 +468,9 @@ class TestProposeNext:
         self.fixed_pool(monkeypatch, [[0.2], [0.4], [0.6], [0.8]], -acquisition)
         cfg = EngineConfig(ga=SMALL_GA)
         proposal = propose_next(archive, problem, cfg, np.random.default_rng(0))
-        assert [c["x"] for c in proposal.picked] == [0.4]  # the balanced member ranks first
+        cand, _ = proposal.picked
+        assert cand["x"] == 0.4  # the balanced member ranks first
         assert checked == [0.4]
-
-    def test_all_mode_returns_the_whole_pool(self):
-        problem = two_obj_problem()
-        archive = archive_of(
-            problem.space, [(0.1, [0.1, 0.9]), (0.5, [0.5, 0.5]), (0.9, [0.9, 0.1])]
-        )
-        cfg = EngineConfig(ga=SMALL_GA, next_pick="all")
-        proposal = propose_next(archive, problem, cfg, np.random.default_rng(3))
-        assert len(proposal.picked) >= 1
-        assert len(proposal.picked) <= len(proposal.pm)
 
     def test_single_objective_pick_is_the_ei_argmax(self):
         # K=1: domination is scalar comparison, so the informative pool holds
@@ -468,7 +499,8 @@ class TestProposeNext:
         cfg = EngineConfig(ga=SMALL_GA, next_pick=hook)
         proposal = propose_next(archive, problem, cfg, np.random.default_rng(4))
         assert seen["pool"] >= 1
-        assert len(proposal.picked) == 1
+        cand, _ = proposal.picked
+        assert cand.values == proposal.pm[-1][0].values  # the hook's index is picked
 
     @pytest.mark.parametrize(
         "bad",
