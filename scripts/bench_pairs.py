@@ -17,8 +17,18 @@ sides with seed ``--first-seed + i``, one process at a time, and alternates
 which side runs first. The result lines go to ``BENCH_<label>.json`` at the
 repository root, with a per-workload summary of every end-to-end metric that
 ``BENCHMARK.json`` declares: each side's median and quartiles, the pairs the
-change won (better in the metric's direction) and the ties, which count for
-neither side.
+change won (better in the metric's direction), the ties, which count for
+neither side, and a verdict. The verdict applies the benchmark's rule, the
+first that holds in this order, with the metric's bound taken relative to the
+parent's median:
+
+* ``better``: the change won at least 9 of every 10 pairs (a tie is no win),
+  and its median is better than the parent's by more than the parent's
+  quartile gap;
+* ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+* ``unresolved``: either side's quartile gap is wider than the bound;
+* ``unchanged``: anything else.
 
 ``--setup-pairs N`` adds N alternated pairs of ``perfbench/setup_probe.py``
 processes per workload, each timed from spawn until the probe has imported
@@ -97,22 +107,40 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
 
 
-def _quartiles(values: list[float]) -> list[float]:
+def _quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
-        return [values[0], values[0]]
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 5), round(q3, 5)]
+    return q1, q3
 
 
-def _compare(parent: list[float], change: list[float], lower: bool) -> dict:
-    """Both sides' median and quartiles, the pairs the change won, and the ties."""
+def _compare(parent: list[float], change: list[float], metric: dict) -> dict:
+    """Both sides' median and quartiles, the pairs the change won, the ties,
+    and the verdict on the metric (its ``better`` and ``bound`` as in
+    ``BENCHMARK.json``)."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    medians = statistics.median(parent), statistics.median(change)
+    quartiles = _quartiles(parent), _quartiles(change)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    gain = sign * (medians[0] - medians[1])
+    bound = metric["bound"] * abs(medians[0])
+    gaps = [q3 - q1 for q1, q3 in quartiles]
+    if wins >= 0.9 * len(parent) and gain > gaps[0]:
+        verdict = "better"
+    elif -gain > bound:
+        verdict = "worse"
+    elif max(gaps) > bound:
+        verdict = "unresolved"
+    else:
+        verdict = "unchanged"
     return {
-        "parent_median": round(statistics.median(parent), 5),
-        "parent_quartiles": _quartiles(parent),
-        "change_median": round(statistics.median(change), 5),
-        "change_quartiles": _quartiles(change),
-        "change_wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+        "parent_median": round(medians[0], 5),
+        "parent_quartiles": [round(q, 5) for q in quartiles[0]],
+        "change_median": round(medians[1], 5),
+        "change_quartiles": [round(q, 5) for q in quartiles[1]],
+        "change_wins": wins,
         "ties": sum(p == c for p, c in zip(parent, change)),
+        "verdict": verdict,
     }
 
 
@@ -121,7 +149,7 @@ def _summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
     for metric in end_to_end:
         name = metric["name"]
         value = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
-        out[name] = _compare(value["parent"], value["change"], metric["better"] == "lower")
+        out[name] = _compare(value["parent"], value["change"], metric)
     out["failed"] = {s: sum(p[s]["failed"] for p in pairs) for s in SIDES}
     return out
 
@@ -136,15 +164,18 @@ def _setup_time(checkout: Path, workload: str) -> float:
     return float(done.stdout.strip().splitlines()[-1]) - t0
 
 
-def _setup_pairs(checkouts: dict[str, Path], workload: str, count: int) -> dict:
-    """count alternated set-up probe pairs of one workload, with their summary."""
+def _setup_pairs(
+    checkouts: dict[str, Path], workload: str, count: int, metric: dict
+) -> dict:
+    """count alternated set-up probe pairs of one workload, with their summary
+    against metric, ``setup_s`` of ``BENCHMARK.json``."""
     samples: dict[str, list[float]] = {s: [] for s in SIDES}
     for i in range(count):
         for side in (SIDES[i % 2], SIDES[1 - i % 2]):
             samples[side].append(round(_setup_time(checkouts[side], workload), 5))
-    out = {"pairs": count, **_compare(samples["parent"], samples["change"], lower=True)}
+    out = {"pairs": count, **_compare(samples["parent"], samples["change"], metric)}
     print(f"{workload} set-up: parent {out['parent_median']:.4f} s, "
-          f"change {out['change_median']:.4f} s", flush=True)
+          f"change {out['change_median']:.4f} s, {out['verdict']}", flush=True)
     return {**out, "samples": samples}
 
 
@@ -204,8 +235,13 @@ def main(argv: list[str] | None = None) -> int:
                       f"parent {p50[0]:.4f} s, change {p50[1]:.4f} s", flush=True)
             pairs += done
             summary[workload] = _summary(done, bench["end_to_end"])
+            print(f"{workload}: " + ", ".join(
+                f"{m['name']} {summary[workload][m['name']]['verdict']}"
+                for m in bench["end_to_end"]), flush=True)
         setup_names = (names or [w["name"] for w in bench["workloads"]]) if args.setup_pairs else []
-        setup = {name: _setup_pairs(checkouts, name, args.setup_pairs) for name in setup_names}
+        setup_s = next(m for m in bench["end_to_end"] if m["name"] == "setup_s")
+        setup = {name: _setup_pairs(checkouts, name, args.setup_pairs, setup_s)
+                 for name in setup_names}
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({

@@ -7,9 +7,11 @@ normal CDF is ``ndtr(z) = erfc(-z / sqrt(2)) / 2`` from ``math.erfc``
 beyond erfc's own is the rounding of ``z / sqrt(2)``, about z^2 / 2 ulps in
 the lower tail.
 Constraint factors multiply the result: indicator (0/1) for hard constraints,
-beta in [0, 1) for violated soft ones. Their product runs once per candidate;
-the candidates it leaves above 0 are encoded in one ``encode`` call, and each
-objective takes one posterior over those rows.
+beta in [0, 1) for violated soft ones. ``ca_ei`` scores encoded rows, such as a
+GA population: the rows are decoded once, only for the constraint callables,
+and their product runs once per candidate; the rows it leaves above 0 are
+snapped onto the space in one ``encode`` call, and each objective takes one
+posterior over them.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from .objectives import ConstraintSpec, soft_factor
-from .space import Candidate, SearchSpace, encode
+from .space import SearchSpace, decode, encode
 from .surrogate import GpModel, gp_posterior
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -44,24 +46,28 @@ def expected_improvement(mu, sigma, y_best):
 
 def ca_ei(
     models: list[GpModel], y_best: np.ndarray, constraints: tuple[ConstraintSpec, ...],
-    space: SearchSpace, candidates: list[Candidate],
+    space: SearchSpace, genomes: np.ndarray,
 ) -> np.ndarray:
-    """EI of each candidate (rows) under each objective (columns), scaled by
-    the candidate's product of constraint factors; (m, k).
+    """EI of each encoded row of genomes (rows) under each objective (columns),
+    scaled by the product of the constraint factors of the row's candidate;
+    (m, k). Each row is scored at its decoded candidate.
 
     y_best[j] is objective j's incumbent: the best (minimum) observed target
     among feasible observations when any exist, else the global best.
     """
-    factor = np.ones(len(candidates))
-    for i, x in enumerate(candidates):
-        for c in constraints:
-            factor[i] *= soft_factor(c, x)
-            if factor[i] == 0.0:
-                break
-    out = np.zeros((len(candidates), len(models)))
+    factor = np.ones(len(genomes))
+    if constraints:
+        for i, x in enumerate(decode(space, genomes)):
+            f = 1.0  # a Python float: numpy scalar arithmetic costs more per step
+            for c in constraints:
+                f *= soft_factor(c, x)
+                if f == 0.0:
+                    break
+            factor[i] = f
+    out = np.zeros((len(genomes), len(models)))
     live = np.flatnonzero(factor)
     if live.size:
-        X = encode(space, [candidates[i] for i in live])
+        X = encode(space, genomes[live])
         for j, model in enumerate(models):
             mu, sigma = gp_posterior(model, X)
             out[live, j] = expected_improvement(mu, sigma, y_best[j]) * factor[live]

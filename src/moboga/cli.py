@@ -178,8 +178,19 @@ def _build_problem(settings: dict[str, Any], cli_problem: Optional[str]) -> Prob
         if cname not in CONSTRAINT_SETS:
             raise ConfigError(f"problem.constraints: unknown constraint set {cname!r}")
         problem = dataclasses.replace(problem, constraints=tuple(CONSTRAINT_SETS[cname]()))
-    if settings["space"] is not None:
-        problem = dataclasses.replace(problem, space=settings["space"])
+    space = settings["space"]
+    if space is not None:
+        # a built-in evaluator or constraint set reads its problem's parameters
+        for part in ("evaluator", "constraints"):
+            key, source = (part, settings[part]) if settings.get(part) else ("name", name)
+            reads = get_problem(source).space.names if source in BUILTIN_PROBLEMS else ()
+            missing = [n for n in reads if n not in space.names]
+            if missing:
+                raise ConfigError(
+                    f"problem.{key}: {source!r} reads parameter {missing[0]!r}, "
+                    f"which the space lacks (no [param.{missing[0]}] section)"
+                )
+        problem = dataclasses.replace(problem, space=space)
     return problem
 
 

@@ -2,12 +2,13 @@
 
 Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
-vector: one ``decode`` and one ``ca_ei`` call score a whole GA population. The
-first proposal of a run fits its GPs cold; every later one passes the previous
-proposal's models back in, so each objective's evidence search starts from the
-hyperparameters it found on the previous, smaller archive. The non-dominated
-set of the final GA population, decoded and encoded once, is the informative
-pool. Every point enters the archive through one admission rule: a candidate
+vector: one ``ca_ei`` call scores a whole GA population's rows, decoding them
+only for the constraint callables. The first proposal of a run fits its GPs
+cold; every later one passes the previous proposal's models back in, so each
+objective's evidence search starts from the hyperparameters it found on the
+previous, smaller archive. The non-dominated rows of the final GA population
+are the informative pool: decoded once to candidates, and encoded once as
+rows. Every point enters the archive through one admission rule: a candidate
 is admitted when it meets every hard constraint and sits more than
 ``DUPLICATE_TOL`` from every point already in the archive or admitted before
 it. The initial design applies it too; its given candidates, and the
@@ -171,7 +172,7 @@ def _admitted(
     """The (candidate, encoding) pairs that pass the admission rule against
     seen, lazily and in order; each admitted encoding joins seen."""
     for cand, enc in pairs:
-        if all_satisfied(hard, cand) and _min_distance(seen, enc) > DUPLICATE_TOL:
+        if (not hard or all_satisfied(hard, cand)) and _min_distance(seen, enc) > DUPLICATE_TOL:
             seen.append(enc)
             yield cand, enc
 
@@ -205,13 +206,13 @@ def propose_next(
     y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
     def score_fn(genomes: np.ndarray) -> np.ndarray:
-        return -ca_ei(models, y_best, problem.constraints, space, decode(space, genomes))
+        return -ca_ei(models, y_best, problem.constraints, space, genomes)
 
     ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
     genomes, scores, part = nsga2_run(score_fn, ga_cfg, space)
-    pool = decode(space, genomes[part.fronts[0]])
-    pm = list(zip(pool, -scores[part.fronts[0]]))
-    pool_enc = encode(space, pool)
+    front0 = genomes[part.fronts[0]]
+    pm = list(zip(decode(space, front0), -scores[part.fronts[0]]))
+    pool_enc = encode(space, front0)
 
     # the pool best-first, then (lazily, only if no member is admitted) draws
     ordered = ((pm[i][0], pool_enc[i]) for i in _rank_pool(pm, cfg.next_pick))
@@ -305,7 +306,7 @@ def _initial_design(
             yield cand, encode(space, cand)
 
     given = list(initial_candidates or [])
-    pairs = chain(zip(given, encode(space, given)), drawn())
+    pairs = chain(zip(given, encode(space, given)) if given else (), drawn())
     chosen = list(islice(_admitted(pairs, (), []), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
         raise EngineError(

@@ -6,7 +6,10 @@ values are min-max scaled, discrete values are embedded by normalized rank
 labels are one-hot encoded. All downstream consumers (the surrogate, the
 genetic search genome, and the minimum-distance stop rule) operate on this
 encoding. ``encode`` and ``decode`` convert a whole population at once, one
-parameter at a time over all rows; ``encode`` also validates.
+parameter at a time over all rows. ``encode`` validates the candidates it is
+given; given encoded rows instead, such as a GA population, it snaps them as
+``decode`` does and encodes the result by array arithmetic, with no candidate
+built.
 """
 from __future__ import annotations
 
@@ -133,20 +136,27 @@ def validate_candidate(space: SearchSpace, c: Candidate) -> None:
     encode(space, c)
 
 
-def encode(space: SearchSpace, c: Union[Candidate, Sequence[Candidate]]) -> np.ndarray:
+def encode(
+    space: SearchSpace, c: Union[Candidate, Sequence[Candidate], np.ndarray]
+) -> np.ndarray:
     """Map m candidates to (m, encoded_dim) rows in [0, 1], a single one to a vector.
 
     Each parameter is validated and encoded in one walk over the population; a
-    mismatch raises ValidationError naming the parameter.
+    mismatch raises ValidationError naming the parameter. An ndarray of rows
+    (a 2-D matrix or one 1-D row) is not a candidate: it gives the encoding of
+    its decoded candidates, ``encode(space, decode(space, G))`` bit for bit,
+    by array arithmetic, with no ``Candidate`` built and no value validated.
     """
+    if isinstance(c, np.ndarray):
+        out = _encode_columns(space, _snapped(space, c))
+        return out[0] if c.ndim == 1 else out
     if isinstance(c, Candidate):
         return encode(space, [c])[0]
     cands = list(c)
     extra = set().union(*(x.values for x in cands)) - set(space.names)
     if extra:
         raise ValidationError(f"parameter {sorted(extra)[0]!r}: not in the space")
-    out = np.zeros((len(cands), space.encoded_dim))
-    i = 0
+    columns = []
     for p in space.params:
         try:
             col = [x.values[p.name] for x in cands]
@@ -158,15 +168,59 @@ def encode(space: SearchSpace, c: Union[Candidate, Sequence[Candidate]]) -> np.n
                     raise ValidationError(
                         f"parameter {p.name!r}: {v!r} is not a real number in [{p.lo}, {p.hi}]"
                     )
-            out[:, i] = (np.array(col, dtype=float) - p.lo) / (p.hi - p.lo)
+            columns.append(np.array(col, dtype=float))
         elif isinstance(p, DiscreteParam):
-            ranks = np.array([p.rank_of(v) for v in col], dtype=int)
-            out[:, i] = ranks / max(len(p.values) - 1, 1)
+            columns.append(np.array([p.rank_of(v) for v in col], dtype=int))
         else:
-            hot = np.array([p.index_of(v) for v in col], dtype=int)
-            out[np.arange(len(cands)), i + hot] = 1.0
+            columns.append(np.array([p.index_of(v) for v in col], dtype=int))
+    return _encode_columns(space, columns)
+
+
+def _encode_columns(space: SearchSpace, columns: list[np.ndarray]) -> np.ndarray:
+    """The encoding of one column per parameter: continuous values, discrete
+    ranks or categorical label indices."""
+    m = len(columns[0])
+    out = np.zeros((m, space.encoded_dim))
+    i = 0
+    for p, col in zip(space.params, columns):
+        if isinstance(p, ContinuousParam):
+            out[:, i] = (col - p.lo) / (p.hi - p.lo)
+        elif isinstance(p, DiscreteParam):
+            out[:, i] = col / max(len(p.values) - 1, 1)
+        else:
+            out[np.arange(m), i + col] = 1.0
         i += p.encoded_width
     return out
+
+
+def _snapped(space: SearchSpace, G: np.ndarray) -> list[np.ndarray]:
+    """One column per parameter of the encoded rows G (one row or a matrix),
+    snapped onto the parameter's domain by the rules ``decode`` states:
+    continuous values, discrete ranks or categorical label indices.
+
+    ValidationError unless the rows have the space's width and finite entries.
+    """
+    G = np.asarray(G, dtype=float)
+    if G.ndim not in (1, 2) or G.shape[-1] != space.encoded_dim:
+        raise ValidationError(
+            f"encoded rows have shape {G.shape}, expected width {space.encoded_dim}"
+        )
+    if not np.all(np.isfinite(G)):
+        raise ValidationError("encoded vector entries must be finite")
+    G = G.reshape(-1, space.encoded_dim)
+    columns = []
+    i = 0
+    for p in space.params:
+        if isinstance(p, ContinuousParam):
+            columns.append(p.lo + np.clip(G[:, i], 0.0, 1.0) * (p.hi - p.lo))
+        elif isinstance(p, DiscreteParam):
+            t = np.clip(G[:, i], 0.0, 1.0)
+            ranks = np.arange(len(p.values)) / max(len(p.values) - 1, 1)
+            columns.append(np.argmin(np.abs(t[:, None] - ranks), axis=1))
+        else:
+            columns.append(np.argmax(G[:, i : i + len(p.labels)], axis=1))
+        i += p.encoded_width
+    return columns
 
 
 def decode(space: SearchSpace, G: np.ndarray) -> Union[Candidate, list[Candidate]]:
@@ -178,31 +232,16 @@ def decode(space: SearchSpace, G: np.ndarray) -> Union[Candidate, list[Candidate
     to the lower rank); categorical blocks take the argmax (ties to the first
     label).
     """
-    G = np.asarray(G, dtype=float)
-    if G.ndim not in (1, 2) or G.shape[-1] != space.encoded_dim:
-        raise ValidationError(
-            f"encoded rows have shape {G.shape}, expected width {space.encoded_dim}"
-        )
-    if not np.all(np.isfinite(G)):
-        raise ValidationError("encoded vector entries must be finite")
-    if G.ndim == 1:
-        return decode(space, G[None, :])[0]
     columns: dict[str, list] = {}
-    i = 0
-    for p in space.params:
+    for p, col in zip(space.params, _snapped(space, G)):
         if isinstance(p, ContinuousParam):
-            t = np.clip(G[:, i], 0.0, 1.0)
-            columns[p.name] = (p.lo + t * (p.hi - p.lo)).tolist()
+            columns[p.name] = col.tolist()
         elif isinstance(p, DiscreteParam):
-            t = np.clip(G[:, i], 0.0, 1.0)
-            ranks = np.arange(len(p.values)) / max(len(p.values) - 1, 1)
-            idx = np.argmin(np.abs(t[:, None] - ranks), axis=1).tolist()
-            columns[p.name] = [p.values[k] for k in idx]
+            columns[p.name] = [p.values[k] for k in col.tolist()]
         else:
-            idx = np.argmax(G[:, i : i + len(p.labels)], axis=1).tolist()
-            columns[p.name] = [p.labels[k] for k in idx]
-        i += p.encoded_width
-    return [Candidate(dict(zip(columns, row))) for row in zip(*columns.values())]
+            columns[p.name] = [p.labels[k] for k in col.tolist()]
+    cands = [Candidate(dict(zip(columns, row))) for row in zip(*columns.values())]
+    return cands[0] if np.ndim(G) == 1 else cands
 
 
 def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Candidate:

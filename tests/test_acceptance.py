@@ -154,9 +154,9 @@ def test_criterion_6_ca_ei_against_quadrature():
     hard = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5)
     soft0 = ConstraintSpec("h", predicate=lambda c: c["x"] < 0.5, beta=lambda c: 0.0)
     xs = np.linspace(0.0, 1.0, 41)
-    cands = [Candidate({"x": float(x)}) for x in xs]
-    by_hard = ca_ei([model], [1.0], (hard,), space, cands)[:, 0]
-    by_soft = ca_ei([model], [1.0], (soft0,), space, cands)[:, 0]
+    rows = xs[:, None]  # on [0, 1] each row decodes to x itself
+    by_hard = ca_ei([model], [1.0], (hard,), space, rows)[:, 0]
+    by_soft = ca_ei([model], [1.0], (soft0,), space, rows)[:, 0]
     for x, a, b in zip(xs, by_hard, by_soft):
         assert a == b  # exact equality
         if x >= 0.5:

@@ -13,6 +13,7 @@ from moboga.space import (
     ContinuousParam,
     DiscreteParam,
     SearchSpace,
+    decode,
     encode,
     sample_uniform,
 )
@@ -90,10 +91,13 @@ def make_model():
 
 
 def score_1d(xs, constraints=()):
-    """ca_ei at each x of xs under the fixed one-objective model (y_best = 1)."""
-    cands = [Candidate({"x": float(x)}) for x in np.atleast_1d(xs)]
-    out = ca_ei([make_model()], [1.0], tuple(constraints), SPACE_1D, cands)
-    assert out.shape == (len(cands), 1)
+    """ca_ei at each x of xs under the fixed one-objective model (y_best = 1).
+
+    On [0, 1] the encoded row of x is x itself, and it decodes back to x.
+    """
+    rows = np.atleast_1d(np.asarray(xs, dtype=float))[:, None]
+    out = ca_ei([make_model()], [1.0], tuple(constraints), SPACE_1D, rows)
+    assert out.shape == (len(rows), 1)
     return out[:, 0]
 
 
@@ -211,9 +215,10 @@ def test_batched_ca_ei_matches_per_row_oracle_on_a_mixed_space():
     models = mixed_models(2)
     y_best = [-0.3, 0.4]
     rng = np.random.default_rng(1)
-    cands = [sample_uniform(MIXED, rng) for _ in range(60)]
-    got = ca_ei(models, y_best, (MIXED_HARD, MIXED_SOFT), MIXED, cands)
+    rows = encode(MIXED, [sample_uniform(MIXED, rng) for _ in range(60)])
+    got = ca_ei(models, y_best, (MIXED_HARD, MIXED_SOFT), MIXED, rows)
     assert got.shape == (60, 2)
+    cands = decode(MIXED, rows)  # the candidates the rows are scored at
 
     cases = set()
     for i, cand in enumerate(cands):
@@ -236,9 +241,12 @@ def test_batched_ca_ei_matches_per_row_oracle_on_a_mixed_space():
 def test_each_predicate_runs_once_per_candidate_for_any_k(k):
     calls = {"soft": [], "beta": [], "hard": []}
 
+    def key(c):
+        return tuple(c.values.items())
+
     def counted(name, fn):
         def wrapped(c):
-            calls[name].append(id(c))
+            calls[name].append(key(c))
             return fn(c)
         return wrapped
 
@@ -249,12 +257,13 @@ def test_each_predicate_runs_once_per_candidate_for_any_k(k):
         ConstraintSpec("hard", predicate=counted("hard", MIXED_HARD.predicate)),
     )
     rng = np.random.default_rng(2)
-    cands = [sample_uniform(MIXED, rng) for _ in range(30)]
-    ca_ei(mixed_models(k), [0.0] * k, constraints, MIXED, cands)
-    everyone = sorted(id(c) for c in cands)
+    rows = encode(MIXED, [sample_uniform(MIXED, rng) for _ in range(30)])
+    ca_ei(mixed_models(k), [0.0] * k, constraints, MIXED, rows)
+    cands = decode(MIXED, rows)
+    everyone = sorted(key(c) for c in cands)
     assert sorted(calls["soft"]) == everyone
     assert sorted(calls["hard"]) == everyone
-    assert sorted(calls["beta"]) == sorted(id(c) for c in cands if c["c"] == "a")
+    assert sorted(calls["beta"]) == sorted(key(c) for c in cands if c["c"] == "a")
 
 
 def test_zero_factor_candidates_get_no_posterior(monkeypatch):

@@ -228,19 +228,56 @@ class TestConfigFile:
         assert "problem.evaluator" in capsys.readouterr().err
 
     def test_failing_constraint_predicate_is_a_runtime_error(self, tmp_path, capsys):
-        # binh-korn's constraints read y, which this custom space lacks
+        # binh-korn's constraints square y, which this custom space makes a label
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             "[problem]\nevaluator = binh-korn\nconstraints = binh-korn\n\n"
             "[engine]\nn_initial = 3\nmax_iterations = 5\n\n"
             "[ga]\npopulation_size = 8\ngenerations = 3\n\n"
-            "[param.a]\ntype = continuous\nlo = 0\nhi = 1\n\n"
+            "[param.y]\ntype = categorical\nlabels = low, high\n\n"
             "[param.x]\ntype = continuous\nlo = 0\nhi = 3\n"
         )
         out = tmp_path / "r.jsonl"
         assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and "constraint 'c1'" in err
+
+    @pytest.mark.parametrize(
+        "problem, key",
+        [
+            ("evaluator = binh-korn", "problem.evaluator"),
+            ("evaluator = sinusoid-1d\nconstraints = binh-korn", "problem.constraints"),
+            ("name = constr-ex", "problem.name"),
+            ("name = sinusoid-1d\nevaluator = constr-ex", "problem.evaluator"),
+        ],
+        ids=["evaluator", "constraints", "name", "name-evaluator"],
+    )
+    def test_space_missing_a_parameter_the_builtin_reads_is_a_config_error(
+        self, tmp_path, capsys, problem, key
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[problem]\n{problem}\n\n[param.x]\ntype = continuous\nlo = 0.1\nhi = 1\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key}:" in err and "'y'" in err
+        assert not out.exists()
+
+    def test_space_need_not_hold_what_an_override_no_longer_reads(self, tmp_path):
+        # constr-ex reads x and y, but both of its parts are replaced by sinusoid-1d's
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nname = constr-ex\nevaluator = sinusoid-1d\n"
+            "constraints = sinusoid-1d\n\n"
+            "[engine]\nn_initial = 3\nmax_iterations = 4\n\n"
+            "[ga]\npopulation_size = 8\ngenerations = 2\n\n"
+            "[param.x]\ntype = continuous\nlo = 0\nhi = 1.2\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
+        assert load_record(str(out)).header["objective_names"] == ["q"]
 
     @pytest.mark.parametrize("key", ["sbx_eta", "pm_eta"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "0"])

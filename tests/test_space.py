@@ -280,6 +280,47 @@ def test_population_encode_is_bit_equal_to_the_per_row_reference(space, m, seed)
     assert np.array_equal(got, want)
 
 
+@given(space_strategy, st.sampled_from([0, 1, 7]), st.integers(0, 2**31 - 1))
+def test_row_encode_is_bit_equal_to_the_decode_round_trip(space, m, seed):
+    G = population(space, m, np.random.default_rng(seed))
+    got = encode(space, G)
+    assert got.shape == (m, space.encoded_dim)
+    assert np.array_equal(got, encode(space, decode(space, G)))
+    for g in G:
+        assert np.array_equal(encode(space, g), encode(space, decode(space, g)))
+
+
+def test_row_encode_snaps_out_of_range_entries_and_ties():
+    space = mixed_space()  # rate in [0, 10], batch ranks {0, 0.5, 1}, act one-hot
+    G = np.array([
+        [1.7, 0.25, 0.5, 0.5],     # clamp high, rank tie goes low, label tie goes first
+        [-0.2, 0.75, -1.0, -1.0],  # clamp low, rank tie goes low, negative tie goes first
+        [0.3, 0.6, 0.2, 0.9],
+    ])
+    want = np.array([
+        [1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.5, 1.0, 0.0],
+        [(0.0 + 0.3 * 10.0 - 0.0) / 10.0, 0.5, 0.0, 1.0],
+    ])
+    assert np.array_equal(encode(space, G), want)
+    assert np.array_equal(encode(space, G), encode(space, decode(space, G)))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [np.zeros(3), np.zeros((2, 5)), np.zeros((2, 2, 4)),
+     np.array([0.5, np.nan, 1.0, 0.0]), np.array([[0.5, 0.5, np.inf, 0.0]])],
+    ids=["short-row", "wide-rows", "3-d", "nan", "inf"],
+)
+def test_row_encode_rejects_what_decode_rejects(G):
+    space = mixed_space()
+    with pytest.raises(ValidationError) as by_decode:
+        decode(space, G)
+    with pytest.raises(ValidationError) as by_encode:
+        encode(space, G)
+    assert str(by_encode.value) == str(by_decode.value)
+
+
 @given(space_strategy, st.sampled_from([1, 7]), st.integers(0, 2**31 - 1))
 def test_one_invalid_candidate_in_a_population_names_its_parameter(space, m, seed):
     rng = np.random.default_rng(seed)
