@@ -12,6 +12,10 @@ Each side runs, one process at a time and with one BLAS thread:
 * ``moboga run --config configs/binh_korn.ini --iters 16``
 * ``moboga run --config configs/mixed_space.ini`` (continuous, discrete and
   categorical parameters), read from this checkout on both sides
+* ``moboga run --config C`` for each config C of ``CONFIGS``, written into the
+  temporary directory: a named problem with both parts replaced, an evaluator
+  over a custom space with a discrete parameter, and a named problem without
+  its constraints and with one ``[ga]`` key
 * ``moboga verify --all``
 
 The run records are compared document by document without their wall-clock
@@ -38,6 +42,23 @@ RUNS = {
     # absolute, so that a parent without the file runs it too
     "mixed-space-config": ["--config", str(ROOT / "configs" / "mixed_space.ini")],
 }
+# each reaches a path of the config reader that no run above reaches
+CONFIGS = {
+    "both-parts-replaced-config": (
+        "[problem]\nname = constr-ex\nevaluator = sinusoid-1d\nconstraints = sinusoid-1d\n\n"
+        "[engine]\nmax_iterations = 12\n\n"
+        "[param.x]\ntype = continuous\nlo = 0\nhi = 1.2\n"
+    ),
+    "evaluator-over-discrete-config": (
+        "[problem]\nevaluator = binh-korn\n\n[engine]\nmax_iterations = 12\n\n"
+        "[param.x]\ntype = continuous\nlo = 0\nhi = 5\n\n"
+        "[param.y]\ntype = discrete\nvalues = 0, 0.5, 1, 2, 3\n"
+    ),
+    "no-constraints-one-ga-key-config": (
+        "[problem]\nname = binh-korn\nconstraints = none\n\n"
+        "[engine]\nmax_iterations = 12\n\n[ga]\ncrossover_prob = 0.8\n"
+    ),
+}
 CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
 
 
@@ -54,11 +75,11 @@ def _moboga(checkout: Path, args: list[str]) -> None:
         )
 
 
-def _outputs(checkout: Path, out: Path) -> dict[str, list[dict]]:
+def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list[dict]]:
     """Every run record and verify metrics file of one side, as lists of
     documents without their wall-clock fields."""
     docs = {}
-    for name, args in RUNS.items():
+    for name, args in runs.items():
         record = out / f"{name}.jsonl"
         _moboga(checkout, ["run", *args, "-o", str(record)])
         docs[f"run {name}"] = [json.loads(line) for line in record.read_text().splitlines()]
@@ -97,11 +118,16 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {"parent": tmp_path / "parent", "change": ROOT}
         checkouts["parent"].mkdir()
         commit = _snapshot(args.parent, checkouts["parent"])
+        runs = dict(RUNS)
+        for name, text in CONFIGS.items():
+            config = tmp_path / f"{name}.ini"
+            config.write_text(text)
+            runs[name] = ["--config", str(config)]
         outputs = {}
         for side, checkout in checkouts.items():
             out = tmp_path / f"out-{side}"
             out.mkdir()
-            outputs[side] = _outputs(checkout, out)
+            outputs[side] = _outputs(checkout, out, runs)
 
     found = _differences(outputs["parent"], outputs["change"])
     for line in found:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -27,17 +26,20 @@ from .engine import (
     exploit,
     run as run_engine,
 )
+from .nsga2 import GaConfig
 from .objectives import EvaluationError, Problem, all_satisfied
 from .pareto import generational_distance, objective_diagonal
 from .problems import (
     BUILTIN_PROBLEMS,
+    CONSTRAINT_SETS,
+    EVALUATORS,
     BenchmarkConfigError,
     get_problem,
     grid_reference_front,
     sinusoid_1d,
 )
 from .record import LoadedRecord, RecordError, RunRecordWriter, load_record, space_from_json
-from .space import Candidate
+from .space import Candidate, CategoricalParam
 from .surrogate import GpNumericalError
 from .topsis import TopsisError, check_weights
 
@@ -146,52 +148,39 @@ def load_config(path: Optional[str]) -> dict[str, Any]:
 
 
 def _build_problem(settings: dict[str, Any], cli_problem: Optional[str]) -> Problem:
-    from .problems import CONSTRAINT_SETS, EVALUATORS
-
     name = cli_problem or settings["problem"]
-    evaluator_name = settings.get("evaluator")
-    if name is None and evaluator_name is None:
-        raise ConfigError("problem.name: no problem selected (use --problem or the config file)")
-
+    evaluator_name, constraints_name = settings["evaluator"], settings["constraints"]
+    named = None
     if name is not None:
         try:
-            problem = get_problem(name)
+            named = get_problem(name)
         except BenchmarkConfigError as exc:
             raise ConfigError(f"problem.name: {exc}") from exc
+    elif evaluator_name is None:
+        raise ConfigError("problem.name: no problem selected (use --problem or the config file)")
     elif settings["space"] is None:
         raise ConfigError("problem.evaluator: needs [param.*] sections for the space")
-    if evaluator_name is not None:
-        if evaluator_name not in EVALUATORS:
-            raise ConfigError(f"problem.evaluator: unknown evaluator {evaluator_name!r}")
-        evaluator, objective_names = EVALUATORS[evaluator_name]
-        if name is None:
-            # evaluator-by-name over a custom space
-            problem = Problem(
-                settings["space"], evaluator, objective_names, (), name=evaluator_name
-            )
-        else:
-            problem = dataclasses.replace(
-                problem, evaluator=evaluator, objective_names=objective_names
-            )
-    if settings.get("constraints") is not None:
-        cname = settings["constraints"]
-        if cname not in CONSTRAINT_SETS:
-            raise ConfigError(f"problem.constraints: unknown constraint set {cname!r}")
-        problem = dataclasses.replace(problem, constraints=tuple(CONSTRAINT_SETS[cname]()))
-    space = settings["space"]
-    if space is not None:
-        # a built-in evaluator or constraint set reads its problem's parameters
-        for part in ("evaluator", "constraints"):
-            key, source = (part, settings[part]) if settings.get(part) else ("name", name)
-            reads = get_problem(source).space.names if source in BUILTIN_PROBLEMS else ()
-            missing = [n for n in reads if n not in space.names]
-            if missing:
-                raise ConfigError(
-                    f"problem.{key}: {source!r} reads parameter {missing[0]!r}, "
-                    f"which the space lacks (no [param.{missing[0]}] section)"
-                )
-        problem = dataclasses.replace(problem, space=space)
-    return problem
+    space = settings["space"] or named.space
+
+    # each part comes from its own key, else from the named built-in; a
+    # built-in part reads its problem's parameters, each as a number
+    kinds = dict(zip(space.names, space.params))
+    for part, table, noun in (("evaluator", EVALUATORS, "evaluator"),
+                              ("constraints", CONSTRAINT_SETS, "constraint set")):
+        key, source = (part, settings[part]) if settings[part] else ("name", name)
+        if key == part and source not in table:
+            raise ConfigError(f"problem.{key}: unknown {noun} {source!r}")
+        for n in get_problem(source).space.names if source in BUILTIN_PROBLEMS else ():
+            if n not in kinds or isinstance(kinds[n], CategoricalParam):
+                what = "lacks" if n not in kinds else "makes categorical"
+                raise ConfigError(f"problem.{key}: {source!r} reads parameter {n!r} "
+                                  f"as a number, which the space {what}")
+
+    evaluator, objective_names = (EVALUATORS[evaluator_name] if evaluator_name
+                                  else (named.evaluator, named.objective_names))
+    constraints = (CONSTRAINT_SETS[constraints_name]() if constraints_name
+                   else named.constraints if named else ())
+    return Problem(space, evaluator, objective_names, constraints, name=name or evaluator_name)
 
 
 def _build_engine_config(
@@ -209,8 +198,7 @@ def _build_engine_config(
         engine_kwargs["max_iterations"] = args.iters
 
     try:
-        ga = dataclasses.replace(EngineConfig().ga, **ga_kwargs)
-        return EngineConfig(ga=ga, **engine_kwargs)
+        return EngineConfig(ga=GaConfig(**ga_kwargs), **engine_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"engine settings invalid: {exc}") from exc
 

@@ -129,7 +129,7 @@ class EngineConfig:
     n_initial: int = 8
     max_iterations: int = 50       # total evaluation budget, initial design included
     delta: float = 1e-3            # stop threshold in encoded space
-    ga: GaConfig = field(default_factory=lambda: GaConfig(population_size=60, generations=30))
+    ga: GaConfig = field(default_factory=GaConfig)
     next_pick: NextPick = "topsis"
     seed: int = 0
 

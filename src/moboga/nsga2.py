@@ -25,8 +25,8 @@ ScoreFn = Callable[[np.ndarray], np.ndarray]  # genomes (m, d) -> scores (m, k)
 
 @dataclass
 class GaConfig:
-    population_size: int = 100
-    generations: int = 50
+    population_size: int = 60
+    generations: int = 30
     crossover_prob: float = 0.9
     mutation_prob: float | None = None  # None -> 1 / encoded_dim
     sbx_eta: float = 15.0

@@ -64,12 +64,12 @@ class DiscreteParam:
         return 1
 
     def rank_of(self, value) -> int:
-        for i, v in enumerate(self.values):
-            if v == value:
-                return i
-        raise ValidationError(
-            f"parameter {self.name!r}: {value!r} is not a listed value"
-        )
+        try:
+            return self.values.index(value)
+        except ValueError:
+            raise ValidationError(
+                f"parameter {self.name!r}: {value!r} is not a listed value"
+            ) from None
 
 
 @dataclass(frozen=True)

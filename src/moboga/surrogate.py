@@ -157,17 +157,15 @@ def _chol_with_jitter(
 def _maximize_evidence(
     bordered: np.ndarray,
     D: np.ndarray,
-    noise: float,
-    seed: int,
     start: GpHyperParams | None,
 ) -> GpHyperParams:
     d = D.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     def objective(theta: np.ndarray) -> float:
         gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])))
         try:
-            return _bordered_factor(bordered, gram, noise)[2]
+            return _bordered_factor(bordered, gram, DEFAULT_NOISE)[2]
         except np.linalg.LinAlgError:
             return -np.inf
 
@@ -204,7 +202,7 @@ def _maximize_evidence(
                     break
         if not improved:
             step *= 0.5
-    return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])), noise)
+    return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])))
 
 
 def gp_fit(
@@ -212,8 +210,6 @@ def gp_fit(
     y: np.ndarray,
     hyper: GpHyperParams | None = None,
     *,
-    noise_variance: float = DEFAULT_NOISE,
-    seed: int = 0,
     start: GpHyperParams | None = None,
 ) -> GpModel:
     """Fit a GP; hyper=None maximizes the evidence, otherwise hyper is fixed.
@@ -246,7 +242,7 @@ def gp_fit(
     D = _sq_diffs(X, X)
     bordered = _bordered(y_std)
     if hyper is None:
-        hyper = _maximize_evidence(bordered, D, noise_variance, seed, start)
+        hyper = _maximize_evidence(bordered, D, start)
 
     gram = _se(D, hyper.length_scales, hyper.signal_variance)
     L, z, ev, jitter = _chol_with_jitter(bordered, gram, hyper.noise_variance)

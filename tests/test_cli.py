@@ -25,6 +25,10 @@ from moboga.record import RunRecordWriter, load_record
 from moboga.space import CategoricalParam, ContinuousParam, DiscreteParam, SearchSpace
 
 
+X_PARAM = "[param.x]\ntype = continuous\nlo = 0.1\nhi = 1\n\n"
+CATEGORICAL_Y = "[param.y]\ntype = categorical\nlabels = low, high\n"
+
+
 def run_args(tmp_path, *extra):
     out = tmp_path / "run.jsonl"
     return ["run", "--problem", "binh-korn", "--iters", "10", "--seed", "7",
@@ -227,14 +231,19 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "problem.evaluator" in capsys.readouterr().err
 
-    def test_failing_constraint_predicate_is_a_runtime_error(self, tmp_path, capsys):
-        # binh-korn's constraints square y, which this custom space makes a label
+    def test_failing_constraint_predicate_is_a_runtime_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing():
+            return (ConstraintSpec("c1", predicate=lambda c: 1 / 0),)
+
+        monkeypatch.setitem(moboga.problems.CONSTRAINT_SETS, "failing", failing)
         cfg = tmp_path / "c.ini"
         cfg.write_text(
-            "[problem]\nevaluator = binh-korn\nconstraints = binh-korn\n\n"
+            "[problem]\nevaluator = binh-korn\nconstraints = failing\n\n"
             "[engine]\nn_initial = 3\nmax_iterations = 5\n\n"
             "[ga]\npopulation_size = 8\ngenerations = 3\n\n"
-            "[param.y]\ntype = categorical\nlabels = low, high\n\n"
+            "[param.y]\ntype = continuous\nlo = 0\nhi = 2\n\n"
             "[param.x]\ntype = continuous\nlo = 0\nhi = 3\n"
         )
         out = tmp_path / "r.jsonl"
@@ -243,27 +252,43 @@ class TestConfigFile:
         assert err.startswith("runtime error:") and "constraint 'c1'" in err
 
     @pytest.mark.parametrize(
-        "problem, key",
+        "problem, params, key",
         [
-            ("evaluator = binh-korn", "problem.evaluator"),
-            ("evaluator = sinusoid-1d\nconstraints = binh-korn", "problem.constraints"),
-            ("name = constr-ex", "problem.name"),
-            ("name = sinusoid-1d\nevaluator = constr-ex", "problem.evaluator"),
+            ("evaluator = binh-korn", X_PARAM, "problem.evaluator"),
+            ("evaluator = sinusoid-1d\nconstraints = binh-korn", X_PARAM, "problem.constraints"),
+            ("name = constr-ex", X_PARAM, "problem.name"),
+            ("name = sinusoid-1d\nevaluator = constr-ex", X_PARAM, "problem.evaluator"),
+            ("name = sinusoid-1d\nevaluator = binh-korn", "", "problem.evaluator"),
+            ("name = sinusoid-1d\nconstraints = binh-korn", "", "problem.constraints"),
+            ("evaluator = sinusoid-1d\nconstraints = binh-korn", X_PARAM + CATEGORICAL_Y,
+             "problem.constraints"),
+            ("name = binh-korn", X_PARAM + CATEGORICAL_Y, "problem.name"),
         ],
-        ids=["evaluator", "constraints", "name", "name-evaluator"],
+        ids=["evaluator", "constraints", "name", "name-evaluator", "named-space-evaluator",
+             "named-space-constraints", "categorical-constraints", "categorical-name"],
     )
     def test_space_missing_a_parameter_the_builtin_reads_is_a_config_error(
-        self, tmp_path, capsys, problem, key
+        self, tmp_path, capsys, problem, params, key
     ):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(
-            f"[problem]\n{problem}\n\n[param.x]\ntype = continuous\nlo = 0.1\nhi = 1\n"
-        )
+        cfg.write_text(f"[problem]\n{problem}\n\n{params}")
         out = tmp_path / "r.jsonl"
         assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{key}:" in err and "'y'" in err
         assert not out.exists()
+
+    def test_discrete_parameter_the_builtin_reads_runs(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nname = binh-korn\n\n"
+            "[engine]\nn_initial = 3\nmax_iterations = 5\n\n"
+            "[ga]\npopulation_size = 8\ngenerations = 3\n\n"
+            f"{X_PARAM}[param.y]\ntype = discrete\nvalues = 0, 1, 2\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "--seed", "2", "-o", str(out)]) == EXIT_OK
+        assert {o.candidate["y"] for o in load_record(str(out)).archive.observations} <= {0, 1, 2}
 
     def test_space_need_not_hold_what_an_override_no_longer_reads(self, tmp_path):
         # constr-ex reads x and y, but both of its parts are replaced by sinusoid-1d's

@@ -119,6 +119,13 @@ class TestConfig:
         EngineConfig(next_pick="topsis")
         EngineConfig(next_pick=lambda pm: 0)
 
+    def test_a_ga_given_one_setting_keeps_the_default_sizes(self):
+        ga = EngineConfig(ga=GaConfig(crossover_prob=0.8)).ga
+        default = EngineConfig().ga
+        assert (ga.population_size, ga.generations) == (
+            default.population_size, default.generations
+        )
+
 
 class TestStopCheck:
     def test_exact_duplicate_stops(self):

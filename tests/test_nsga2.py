@@ -48,7 +48,7 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = GaConfig()
-        assert (cfg.population_size, cfg.generations) == (100, 50)
+        assert (cfg.population_size, cfg.generations) == (60, 30)
         assert cfg.crossover_prob == 0.9
         assert cfg.mutation_prob is None  # resolved to 1/dim at run time
         assert (cfg.sbx_eta, cfg.pm_eta) == (15.0, 20.0)
