@@ -80,7 +80,7 @@ def main() -> int:
     )
     result = run(build_problem(), cfg)
 
-    print(f"evaluations: {len(result.archive)}  stop: {result.stop_reason}")
+    print(f"evaluations: {len(result.archive)}  stop: {result.archive.stop_reason}")
     print("front:")
     for idx in result.pof:
         obs = result.archive.observations[idx]

@@ -16,12 +16,17 @@ Each side runs, one process at a time and with one BLAS thread:
   temporary directory: a named problem with both parts replaced, an evaluator
   over a custom space with a discrete parameter, and a named problem without
   its constraints and with one ``[ga]`` key
+* ``moboga front`` on each run record, and on a cut of it: the header and at
+  most ``CUT_OBSERVATIONS`` observations with no result line, so that ``front``
+  recomputes the result as it does for an interrupted run
 * ``moboga verify --all``
 
 The run records are compared document by document without their wall-clock
 fields (``timestamp``, ``started_at``, ``finished_at``), and each study's
-``metrics.json`` without ``elapsed_seconds``. Every difference is printed, and
-the exit status is 1 if there is any, 0 otherwise.
+``metrics.json`` without ``elapsed_seconds``. The ``front`` CSVs and the
+stdout of each ``run`` (without its "run record written to" line, which names
+a path) are compared line by line. Every difference is printed, and the exit
+status is 1 if there is any, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -60,9 +65,11 @@ CONFIGS = {
     ),
 }
 CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
+CUT_OBSERVATIONS = 9
 
 
-def _moboga(checkout: Path, args: list[str]) -> None:
+def _moboga(checkout: Path, args: list[str]) -> str:
+    """The stdout of ``moboga args`` run on checkout; RuntimeError if it fails."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     env.pop("MOBOGA_SEED", None)
     done = subprocess.run(
@@ -73,26 +80,36 @@ def _moboga(checkout: Path, args: list[str]) -> None:
         raise RuntimeError(
             f"{checkout}: moboga {' '.join(args)} exited {done.returncode}\n{done.stderr[-2000:]}"
         )
+    return done.stdout
 
 
-def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list[dict]]:
-    """Every run record and verify metrics file of one side, as lists of
-    documents without their wall-clock fields."""
-    docs = {}
+def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list]:
+    """Every output of one side: run records and verify metrics files as lists
+    of documents without their wall-clock fields, ``front`` CSVs and ``run``
+    stdout as lists of lines."""
+    docs: dict[str, list] = {}
     for name, args in runs.items():
         record = out / f"{name}.jsonl"
-        _moboga(checkout, ["run", *args, "-o", str(record)])
-        docs[f"run {name}"] = [json.loads(line) for line in record.read_text().splitlines()]
+        stdout = _moboga(checkout, ["run", *args, "-o", str(record)]).splitlines()
+        docs[f"stdout {name}"] = [s for s in stdout if not s.startswith("run record written to")]
+        lines = record.read_text().splitlines()
+        docs[f"run {name}"] = [json.loads(line) for line in lines]
+        docs[f"front {name}"] = _moboga(checkout, ["front", str(record)]).splitlines()
+        cut = out / f"{name}-cut.jsonl"
+        kept = [s for s in lines[:1 + CUT_OBSERVATIONS] if json.loads(s)["kind"] != "result"]
+        cut.write_text("".join(line + "\n" for line in kept))
+        docs[f"front {name} cut"] = _moboga(checkout, ["front", str(cut)]).splitlines()
     _moboga(checkout, ["verify", "--all", "--out-dir", str(out)])
     for metrics in sorted(out.glob("verify_*/metrics.json")):
         docs[f"verify {metrics.parent.name}"] = [json.loads(metrics.read_text())]
     return {
-        key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} for d in ds]
+        key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} if isinstance(d, dict) else d
+              for d in ds]
         for key, ds in docs.items()
     }
 
 
-def _differences(parent: dict[str, list[dict]], change: dict[str, list[dict]]) -> list[str]:
+def _differences(parent: dict[str, list], change: dict[str, list]) -> list[str]:
     found = []
     for key in sorted(parent.keys() | change.keys()):
         a, b = parent.get(key), change.get(key)

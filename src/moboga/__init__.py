@@ -55,7 +55,7 @@ from .space import (
     sample_uniform,
 )
 from .surrogate import GpHyperParams, GpModel, gp_fit, gp_posterior
-from .topsis import DecisionMatrix, TopsisResult, topsis_rank
+from .topsis import TopsisResult, topsis_rank
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "CategoricalParam",
     "ConstraintSpec",
     "ContinuousParam",
-    "DecisionMatrix",
     "DiscreteParam",
     "EngineConfig",
     "EngineError",

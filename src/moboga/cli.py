@@ -227,7 +227,7 @@ def _print_result(problem: Problem, result: RunResult) -> None:
     best = result.archive.observations[result.best_index]
     print(f"best candidate (id {result.best_index}): {best.candidate.values}")
     print(
-        f"stop reason: {result.stop_reason}; evaluations: {result.iterations_used}; "
+        f"stop reason: {result.archive.stop_reason}; evaluations: {len(result.archive)}; "
         f"front size: {len(result.pof)}"
     )
 
@@ -272,17 +272,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _front_rows(record: LoadedRecord) -> tuple[list[str], list[list[str]]]:
-    archive = record.archive
-    if record.result is not None:
-        res = record.result
-        pof, best, closeness = res["pof"], res["best_index"], res["closeness"]
-    else:
+    archive, res = record.archive, record.result
+    if res is None and archive.feasible_indices():
         # interrupted run: recompute the front from the observation prefix
-        try:
-            res = exploit(archive, record.weights)
-            pof, best, closeness = res.pof, res.best_index, res.closeness
-        except NoFeasibleResultError:
-            pof, best, closeness = [], -1, {}
+        res = exploit(archive, record.weights)
+    pof, best, closeness = ([], -1, {}) if res is None else (res.pof, res.best_index, res.closeness)
 
     param_names = list(record.space.names)
     header = ["candidate_id"] + param_names + record.objective_names
@@ -363,7 +357,7 @@ def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, An
     metrics = {
         "benchmark": name,
         "seed": cfg.seed,
-        "evaluations": result.iterations_used,
+        "evaluations": len(result.archive),
         "front_size": len(result.pof),
         "generational_distance": gd,
         "gd_threshold": 0.05 * diag,
@@ -415,7 +409,7 @@ def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
     metrics = {
         "benchmark": "sinusoid-1d",
         "seed": cfg.seed,
-        "evaluations": result.iterations_used,
+        "evaluations": len(result.archive),
         "hard_band_queries": in_hard_band,
         "soft_tail_queries": in_soft_tail,
         "best_feasible_q": best_q,

@@ -50,7 +50,7 @@ from .objectives import (
 from .pareto import pareto_front
 from .space import Candidate, decode, encode, sample_uniform
 from .surrogate import GpModel, gp_fit
-from .topsis import COST, BENEFIT, DecisionMatrix, TopsisResult, check_weights, topsis_rank
+from .topsis import COST, BENEFIT, check_weights, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
 MAX_ITERATIONS = "max_iterations"
@@ -143,6 +143,8 @@ class EngineConfig:
             )
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if isinstance(self.next_pick, str) and self.next_pick != "topsis":
             raise ValueError("next_pick must be 'topsis' or a callable")
 
@@ -160,8 +162,6 @@ class RunResult:
     pof: list[int]                 # archive indices of the measured Pareto front
     best_index: int
     closeness: dict[int, float]    # TOPSIS closeness per front member
-    stop_reason: str
-    iterations_used: int
 
 
 def _admitted(
@@ -245,29 +245,8 @@ def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> l
     # closeness is invariant under positive column scaling, and rescaling by
     # the column maximum keeps near-underflow acquisition values normalizable
     peak = acq.max(axis=0)
-    result = _topsis(acq / np.where(peak > 0, peak, 1.0), BENEFIT)
+    result = topsis_rank(acq / np.where(peak > 0, peak, 1.0), (BENEFIT,) * acq.shape[1])
     return [int(i) for i in result.ranking]
-
-
-def _topsis(
-    x: np.ndarray, direction: str, weights: Sequence[float] | None = None
-) -> TopsisResult:
-    """TOPSIS ranking of the rows of x, every criterion in one direction.
-
-    A column that is zero on every row cannot be normalized and tells no row
-    apart, so it is dropped with its weight. When every column is zero the
-    rows are identical, and TOPSIS ranks them in index order. ``weights``, one
-    per column of x, default to equal weights over the columns kept.
-    """
-    keep = np.any(x != 0.0, axis=0)
-    if not keep.any():
-        keep[:] = True
-    m = int(keep.sum())
-    if weights is None:
-        weights = np.full(m, 1.0 / m)
-    else:
-        weights = check_weights(weights, len(keep))[keep]  # checked before the drop
-    return topsis_rank(DecisionMatrix(x[:, keep], weights, (direction,) * m))
 
 
 def stop_check(archive: Archive, enc: np.ndarray, delta: float) -> bool:
@@ -382,14 +361,12 @@ def exploit(
     local_front = pareto_front(q)
     pof = [feasible[i] for i in local_front]
 
-    result = _topsis(q[local_front], COST, weights)
+    result = topsis_rank(q[local_front], (COST,) * q.shape[1], weights)
     return RunResult(
         archive=archive,
         pof=pof,
         best_index=pof[int(result.ranking[0])],
         closeness={pof[i]: float(result.closeness[i]) for i in range(len(pof))},
-        stop_reason=archive.stop_reason,
-        iterations_used=len(archive),
     )
 
 

@@ -16,7 +16,8 @@ from typing import Any, IO, Optional, Sequence
 
 import numpy as np
 
-from .engine import Archive, EngineConfig, Observation, RunResult
+from .engine import (MAX_ITERATIONS, STOP_THRESHOLD, Archive, EngineConfig, EngineError,
+                     Observation, RunResult)
 from .space import (
     Candidate,
     CategoricalParam,
@@ -125,8 +126,8 @@ class RunRecordWriter:
                 "pof": list(res.pof),
                 "best_index": res.best_index,
                 "closeness": [[i, res.closeness[i]] for i in sorted(res.closeness)],
-                "stop_reason": res.stop_reason,
-                "iterations_used": res.iterations_used,
+                "stop_reason": res.archive.stop_reason,
+                "iterations_used": len(res.archive),
                 "finished_at": _now(),
             }
         )
@@ -137,7 +138,7 @@ class LoadedRecord:
     header: dict[str, Any]
     space: SearchSpace
     archive: Archive
-    result: Optional[dict[str, Any]]
+    result: Optional[RunResult]
 
     @property
     def objective_names(self) -> list[str]:
@@ -148,19 +149,27 @@ class LoadedRecord:
         return self.header.get("weights")
 
 
-def _check_result(result: dict[str, Any], n_observations: int) -> None:
-    if result["iterations_used"] != n_observations:
-        raise ValueError(
-            f"iterations_used {result['iterations_used']} differs from the "
-            f"{n_observations} observations"
-        )
-    pof = result["pof"]
-    if not all(0 <= i < n_observations for i in pof):
-        raise ValueError(f"pof {pof} has an index outside the {n_observations} observations")
-    if result["best_index"] not in pof:
-        raise ValueError(f"best_index {result['best_index']} is not in pof")
-    if set(result["closeness"]) != set(pof):
+def _result_from_json(doc: dict[str, Any], archive: Archive) -> RunResult:
+    """The result line as a result over the loaded archive, whose stop reason it
+    sets; ValueError if the line disagrees with the archive."""
+    n = len(archive)
+    if int(doc["iterations_used"]) != n:
+        raise ValueError(f"iterations_used {doc['iterations_used']} differs from the "
+                         f"{n} observations")
+    if doc["stop_reason"] not in (STOP_THRESHOLD, MAX_ITERATIONS):
+        raise ValueError(f"stop_reason {doc['stop_reason']!r} is neither "
+                         f"{STOP_THRESHOLD!r} nor {MAX_ITERATIONS!r}")
+    pof = [int(i) for i in doc["pof"]]
+    if not all(0 <= i < n for i in pof):
+        raise ValueError(f"pof {pof} has an index outside the {n} observations")
+    best_index = int(doc["best_index"])
+    if best_index not in pof:
+        raise ValueError(f"best_index {best_index} is not in pof")
+    closeness = {int(i): float(v) for i, v in doc["closeness"]}
+    if set(closeness) != set(pof):
         raise ValueError("closeness keys differ from the pof indices")
+    archive.stop_reason = doc["stop_reason"]
+    return RunResult(archive, pof, best_index, closeness)
 
 
 def load_record(path: str) -> LoadedRecord:
@@ -196,7 +205,7 @@ def load_record(path: str) -> LoadedRecord:
         )
 
     archive = Archive()
-    result: Optional[dict[str, Any]] = None
+    result: Optional[RunResult] = None
     try:
         space = space_from_json(header["space"])
         header["objective_names"] = list(header["objective_names"])
@@ -221,16 +230,11 @@ def load_record(path: str) -> LoadedRecord:
                     )
                 )
             elif kind == "result":
-                result = doc
-                archive.stop_reason = result["stop_reason"]
-                result["iterations_used"] = int(result["iterations_used"])
-                result["pof"] = [int(i) for i in result["pof"]]
-                result["best_index"] = int(result["best_index"])
-                result["closeness"] = {int(i): float(v) for i, v in result["closeness"]}
-                _check_result(result, len(archive))
+                result = _result_from_json(doc, archive)
             else:
                 raise RecordError(f"record {path!r}: unknown line kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    # Archive.append raises EngineError for a repeated encoding or a falling iteration
+    except (EngineError, KeyError, TypeError, ValueError) as exc:
         raise RecordError(f"record {path!r}: bad field on line {lineno}: {exc!r}") from exc
 
     return LoadedRecord(header=header, space=space, archive=archive, result=result)

@@ -16,7 +16,7 @@ BENEFIT = "benefit"
 
 
 class TopsisError(ValueError):
-    """The decision matrix cannot be ranked (e.g. an all-zero criterion column)."""
+    """The matrix, its directions or its weights cannot be ranked."""
 
 
 def check_weights(weights, n: int) -> np.ndarray:
@@ -34,53 +34,35 @@ def check_weights(weights, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DecisionMatrix:
-    x: np.ndarray                 # (m alternatives, n criteria)
-    weights: np.ndarray           # positive, normalized to sum 1 on construction
-    directions: tuple[str, ...]   # COST or BENEFIT per criterion
-
-    def __post_init__(self) -> None:
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if x.size == 0 or not np.all(np.isfinite(x)):
-            raise TopsisError("matrix must be non-empty and finite")
-        w = check_weights(self.weights, x.shape[1])
-        directions = tuple(self.directions)
-        if len(directions) != x.shape[1] or any(d not in (COST, BENEFIT) for d in directions):
-            raise TopsisError(f"directions must be {COST!r} or {BENEFIT!r}, one per criterion")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "weights", w / w.sum())
-        object.__setattr__(self, "directions", directions)
-
-
-@dataclass(frozen=True)
 class TopsisResult:
     closeness: np.ndarray  # in [0, 1], one per alternative
     ranking: np.ndarray    # alternative indices, best first
-    degenerate: bool = False  # every alternative equidistant from ideal and anti-ideal
 
 
-def topsis_rank(dm: DecisionMatrix) -> TopsisResult:
-    x = dm.x
+def topsis_rank(x, directions, weights=None) -> TopsisResult:
+    """Rank the rows of x (alternatives by criteria) best first.
+
+    ``directions`` holds COST or BENEFIT per criterion; ``weights``, checked
+    against every criterion, default to equal. Identical rows all score 0.5, in
+    index order. Otherwise a criterion that is zero on every row cannot be
+    normalized and tells no row apart: it is dropped with its weight."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.size == 0 or not np.all(np.isfinite(x)):
+        raise TopsisError("matrix must be non-empty and finite")
     m, n = x.shape
-
-    # All rows identical: everything is simultaneously ideal and anti-ideal.
+    directions = tuple(directions)
+    if len(directions) != n or any(d not in (COST, BENEFIT) for d in directions):
+        raise TopsisError(f"directions must be {COST!r} or {BENEFIT!r}, one per criterion")
+    w = np.ones(n) if weights is None else check_weights(weights, n)
     if np.all(x == x[0]):
-        return TopsisResult(np.full(m, 0.5), np.arange(m), degenerate=True)
+        return TopsisResult(np.full(m, 0.5), np.arange(m))
 
-    norms = np.sqrt((x**2).sum(axis=0))
-    zero_cols = np.nonzero(norms == 0.0)[0]
-    if zero_cols.size:
-        raise TopsisError(f"criterion {int(zero_cols[0])} is all-zero and cannot be normalized")
-    v = (x / norms) * dm.weights
-
-    best = np.empty(n)
-    worst = np.empty(n)
-    for j, direction in enumerate(dm.directions):
-        col = v[:, j]
-        if direction == COST:
-            best[j], worst[j] = col.min(), col.max()
-        else:
-            best[j], worst[j] = col.max(), col.min()
+    keep = np.any(x != 0.0, axis=0)
+    x, w = x[:, keep], w[keep]
+    v = (x / np.sqrt((x**2).sum(axis=0))) * (w / w.sum())
+    benefit = np.array([d == BENEFIT for d in directions])[keep]
+    best = np.where(benefit, v.max(axis=0), v.min(axis=0))
+    worst = np.where(benefit, v.min(axis=0), v.max(axis=0))
 
     d_best = np.linalg.norm(v - best, axis=1)
     d_worst = np.linalg.norm(v - worst, axis=1)

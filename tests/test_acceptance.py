@@ -37,7 +37,7 @@ from moboga.problems import (
 )
 from moboga.space import Candidate, ContinuousParam, SearchSpace, encode
 from moboga.surrogate import GpHyperParams, gp_fit, gp_posterior
-from moboga.topsis import BENEFIT, COST, DecisionMatrix, topsis_rank
+from moboga.topsis import BENEFIT, COST, topsis_rank
 
 from test_pareto import oracle_front, oracle_front_partition
 from test_surrogate import oracle_posterior
@@ -201,7 +201,7 @@ def test_criterion_8_topsis_against_scripted_oracle():
         x = rng.uniform(0.1, 10.0, size=(m, n))
         w = rng.uniform(0.1, 2.0, size=n)
         directions = tuple(COST if rng.random() < 0.5 else BENEFIT for _ in range(n))
-        res = topsis_rank(DecisionMatrix(x, w, directions))
+        res = topsis_rank(x, directions, w)
         oc, orank = oracle_topsis(x, w, directions)
         assert res.closeness == pytest.approx(oc, abs=1e-12)
         assert res.ranking.tolist() == orank
@@ -210,15 +210,15 @@ def test_criterion_8_topsis_against_scripted_oracle():
     x = rng.uniform(0.5, 5.0, size=(8, 3))
     w = np.array([1.0, 2.0, 0.5])
     directions = (COST, BENEFIT, COST)
-    base = topsis_rank(DecisionMatrix(x, w, directions))
+    base = topsis_rank(x, directions, w)
     scaled = x.copy()
     scaled[:, 1] *= 137.0
-    res = topsis_rank(DecisionMatrix(scaled, w, directions))
+    res = topsis_rank(scaled, directions, w)
     assert res.closeness == pytest.approx(base.closeness, abs=1e-12)
 
     # an alternative that is best on every criterion coincides with the ideal
     dominant = np.array([[1.0, 10.0], [3.0, 9.0], [2.0, 9.5]])
-    res = topsis_rank(DecisionMatrix(dominant, np.array([0.5, 0.5]), (COST, BENEFIT)))
+    res = topsis_rank(dominant, (COST, BENEFIT), np.array([0.5, 0.5]))
     assert res.closeness[0] == pytest.approx(1.0)
     assert res.ranking[0] == 0
     report("8 TOPSIS", "200 matrices vs scripted oracle")

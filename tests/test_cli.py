@@ -17,7 +17,7 @@ from moboga.cli import (
     load_config,
     main,
 )
-from moboga.engine import EngineConfig, explore, exploit
+from moboga.engine import EngineConfig, RunResult, explore, exploit
 from moboga.nsga2 import GaConfig
 from moboga.objectives import ConstraintSpec, Problem
 from moboga.problems import binh_korn_problem
@@ -43,7 +43,7 @@ class TestRun:
         assert record.header["problem"] == "binh-korn"
         assert len(record.archive) == 10
         assert record.result is not None
-        assert record.result["pof"]
+        assert record.result.pof
         # feasibility audit: hard constraints hold over the whole archive
         problem = binh_korn_problem()
         for obs in record.archive.observations:
@@ -76,6 +76,18 @@ class TestRun:
         monkeypatch.setenv("MOBOGA_SEED", "99")
         assert main(["run", "--config", str(cfg_path), "-o", str(out_a)]) == EXIT_OK
         assert load_record(str(out_a)).header["engine"]["seed"] == 99
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_negative_seed_exits_before_the_record_opens(self, tmp_path, capsys, monkeypatch, via):
+        args, out = run_args(tmp_path)
+        if via == "flag":
+            args[args.index("--seed") + 1] = "-1"
+        else:
+            del args[args.index("--seed"):args.index("--seed") + 2]
+            monkeypatch.setenv("MOBOGA_SEED", "-1")
+        assert main(args) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_seed_outranks_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MOBOGA_SEED", "99")
@@ -127,7 +139,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seed", "1", "-o", str(out)]) == EXIT_OK
         assert "best candidate" in capsys.readouterr().out
         result = load_record(str(out)).result
-        assert len(result["pof"]) > 1 and result["best_index"] in result["pof"]
+        assert len(result.pof) > 1 and result.best_index in result.pof
         assert main(["front", str(out)]) == EXIT_OK
 
 
@@ -354,7 +366,7 @@ class TestFront:
         on_front = [int(c[-3]) for c in cells]
         is_best = [int(c[-2]) for c in cells]
         closeness = [c[-1] for c in cells]
-        assert sum(on_front) == len(record.result["pof"])
+        assert sum(on_front) == len(record.result.pof)
         assert sum(is_best) == 1
         best_row = is_best.index(1)
         assert on_front[best_row] == 1
@@ -465,6 +477,25 @@ class TestFront:
         err = capsys.readouterr().err
         assert "line 2" in err and culprit in err
 
+    @pytest.mark.parametrize(
+        "second, culprit",
+        [(dict(OBSERVATION, iteration=1), "duplicate"),
+         (dict(OBSERVATION, values={"x": 0.25}, encoded=[0.25], iteration=-1), "non-decreasing")],
+        ids=["repeated-encoding", "falling-iteration"],
+    )
+    def test_observation_the_archive_refuses_is_a_record_error(
+        self, tmp_path, capsys, second, culprit
+    ):
+        assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, second) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "bad.jsonl" in err and "line 3" in err and culprit in err
+
+    def test_unknown_stop_reason_is_a_runtime_error(self, tmp_path, capsys):
+        result = dict(self.RESULT, stop_reason=5)
+        assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, result) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3" in err and "stop_reason" in err
+
     def test_encoded_copied_from_another_line_is_a_runtime_error(self, tmp_path, capsys):
         second = dict(self.OBSERVATION, iteration=1, values={"x": 0.25})  # keeps [0.5]
         assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, second) == EXIT_RUNTIME
@@ -530,7 +561,7 @@ class TestFront:
         docs = (self.HEADER, self.OBSERVATION, self.RESULT)
         path.write_text("".join(json.dumps(d) + "\n" for d in docs) + '{"kind": "obser')
         record = load_record(str(path))
-        assert len(record.archive) == 1 and record.result["iterations_used"] == 1
+        assert len(record.archive) == 1 and record.result.pof == [0]
 
 
 class TestVerify:
@@ -610,6 +641,11 @@ class TestRecordRoundTrip:
         assert replayed.pof == result.pof
         assert replayed.best_index == result.best_index
         assert replayed.closeness == pytest.approx(result.closeness)
+        loaded = record.result
+        assert isinstance(loaded, RunResult) and loaded.archive is record.archive
+        assert (loaded.pof, loaded.best_index) == (result.pof, result.best_index)
+        assert loaded.closeness == result.closeness
+        assert record.archive.stop_reason == archive.stop_reason
 
     def test_mixed_space_record_reloads_with_the_same_encodings(self, tmp_path):
         space = SearchSpace((

@@ -112,6 +112,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(delta=0.0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed"):
+            EngineConfig(seed=-1)
+        EngineConfig(seed=0)
+
     def test_next_pick_values(self):
         for removed in ("sideways", "all"):
             with pytest.raises(ValueError, match="next_pick"):
@@ -652,5 +657,5 @@ class TestRun:
         b = run(problem, cfg)
         assert a.pof == b.pof
         assert a.best_index == b.best_index
-        assert a.stop_reason == b.stop_reason
+        assert a.archive.stop_reason == b.archive.stop_reason
         assert np.array_equal(a.archive.objective_matrix(), b.archive.objective_matrix())

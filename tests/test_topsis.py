@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moboga.topsis import (
-    BENEFIT,
-    COST,
-    DecisionMatrix,
-    TopsisError,
-    topsis_rank,
-)
+from moboga.topsis import BENEFIT, COST, TopsisError, topsis_rank
 
 
 def oracle_topsis(x, weights, directions):
@@ -48,47 +42,52 @@ def pick_best(points, directions, weights=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if weights is None:
         weights = equal_weights(points.shape[1])
-    dm = DecisionMatrix(points, np.asarray(weights, dtype=float), tuple(directions))
-    return int(topsis_rank(dm).ranking[0])
+    return int(topsis_rank(points, directions, np.asarray(weights, dtype=float)).ranking[0])
 
 
 class TestRank:
     def test_single_alternative_is_degenerate_half(self):
-        res = topsis_rank(DecisionMatrix([[3.0, 4.0]], equal_weights(2), (COST, COST)))
+        res = topsis_rank([[3.0, 4.0]], (COST, COST), equal_weights(2))
         assert res.closeness.tolist() == [0.5]
         assert res.ranking.tolist() == [0]
-        assert res.degenerate
 
     def test_dominating_alternative_scores_one(self):
-        dm = DecisionMatrix([[1.0, 1.0], [2.0, 3.0]], equal_weights(2), (COST, COST))
-        res = topsis_rank(dm)
+        res = topsis_rank([[1.0, 1.0], [2.0, 3.0]], (COST, COST), equal_weights(2))
         assert res.ranking[0] == 0
         assert res.closeness[0] == pytest.approx(1.0)
 
     def test_symmetric_pair_ties_to_lower_index(self):
-        dm = DecisionMatrix([[1.0, 2.0], [2.0, 1.0]], equal_weights(2), (COST, COST))
-        res = topsis_rank(dm)
+        res = topsis_rank([[1.0, 2.0], [2.0, 1.0]], (COST, COST), equal_weights(2))
         assert res.closeness == pytest.approx([0.5, 0.5])
         assert res.ranking.tolist() == [0, 1]
         oc, orank = oracle_topsis([[1, 2], [2, 1]], equal_weights(2), (COST, COST))
         assert res.closeness == pytest.approx(oc)
         assert res.ranking.tolist() == orank
 
-    def test_all_zero_column_names_the_criterion(self):
-        dm = DecisionMatrix([[0.0, 1.0], [0.0, 2.0]], equal_weights(2), (COST, COST))
-        with pytest.raises(TopsisError, match="criterion 0"):
-            topsis_rank(dm)
+    @pytest.mark.parametrize("direction", [COST, BENEFIT])
+    @pytest.mark.parametrize("weights", [None, [0.7, 5.0, 0.2]], ids=["equal", "weighted"])
+    def test_all_zero_column_is_dropped_with_its_weight(self, direction, weights):
+        x = np.array([[1.0, 0.0, 4.0], [3.0, 0.0, 2.0], [2.0, 0.0, 5.0]])
+        kept = None if weights is None else [weights[0], weights[2]]
+        res = topsis_rank(x, (direction,) * 3, weights)
+        want = topsis_rank(x[:, [0, 2]], (direction,) * 2, kept)
+        assert res.closeness.tolist() == want.closeness.tolist()
+        assert res.ranking.tolist() == want.ranking.tolist()
+
+    @pytest.mark.parametrize("x", [[[0.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                             ids=["zero-column", "all-zero"])
+    def test_weights_are_checked_before_a_zero_column_is_dropped(self, x):
+        with pytest.raises(TopsisError, match="weights"):
+            topsis_rank(x, (COST, COST), [1.0])
 
     def test_all_identical_rows_flagged_degenerate(self):
-        dm = DecisionMatrix([[2.0, 3.0]] * 4, equal_weights(2), (COST, COST))
-        res = topsis_rank(dm)
-        assert res.degenerate
+        res = topsis_rank([[2.0, 3.0]] * 4, (COST, COST), equal_weights(2))
         assert res.closeness.tolist() == [0.5] * 4
         assert res.ranking.tolist() == [0, 1, 2, 3]
 
     def test_weights_must_be_positive(self):
         with pytest.raises(TopsisError, match="weights"):
-            DecisionMatrix([[1.0]], np.array([0.0]), (COST,))
+            topsis_rank([[1.0]], (COST,), np.array([0.0]))
 
     @pytest.mark.parametrize(
         "weights", [[-1.0], [np.nan], [np.inf], [True], ["1"], [1.0, 1.0]],
@@ -96,11 +95,11 @@ class TestRank:
     )
     def test_invalid_weights_rejected(self, weights):
         with pytest.raises(TopsisError, match="weights"):
-            DecisionMatrix([[1.0]], weights, (COST,))
+            topsis_rank([[1.0]], (COST,), weights)
 
     def test_directions_validated(self):
         with pytest.raises(TopsisError):
-            DecisionMatrix([[1.0]], np.array([1.0]), ("sideways",))
+            topsis_rank([[1.0]], ("sideways",), np.array([1.0]))
 
 
 class TestPickBest:
@@ -148,7 +147,7 @@ def test_matches_scripted_oracle(seed):
     x = rng.uniform(0.1, 10.0, size=(m, n))
     w = rng.uniform(0.1, 2.0, size=n)
     directions = tuple(COST if rng.random() < 0.5 else BENEFIT for _ in range(n))
-    res = topsis_rank(DecisionMatrix(x, w, directions))
+    res = topsis_rank(x, directions, w)
     oc, orank = oracle_topsis(x, w, directions)
     assert res.closeness == pytest.approx(oc, abs=1e-12)
     assert res.ranking.tolist() == orank
@@ -162,11 +161,11 @@ def test_positive_column_scaling_leaves_closeness_unchanged(seed):
     x = rng.uniform(0.1, 10.0, size=(m, n))
     w = rng.uniform(0.1, 2.0, size=n)
     directions = tuple(COST if rng.random() < 0.5 else BENEFIT for _ in range(n))
-    base = topsis_rank(DecisionMatrix(x, w, directions))
+    base = topsis_rank(x, directions, w)
     scaled = x.copy()
     j = int(rng.integers(n))
     scaled[:, j] *= float(rng.uniform(0.01, 100.0))
-    res = topsis_rank(DecisionMatrix(scaled, w, directions))
+    res = topsis_rank(scaled, directions, w)
     assert res.closeness == pytest.approx(base.closeness, abs=1e-12)
 
 
@@ -180,13 +179,13 @@ def test_row_permutation_permutes_the_ranking(seed):
     x = rng.uniform(0.1, 10.0, size=(m, n))
     w = rng.uniform(0.1, 2.0, size=n)
     directions = tuple(COST if rng.random() < 0.5 else BENEFIT for _ in range(n))
-    base = topsis_rank(DecisionMatrix(x, w, directions))
+    base = topsis_rank(x, directions, w)
     # permuting rows reorders the column-norm summation, so closeness can move
     # by an ulp; only gap-free rankings are required to map across exactly
     gaps = np.diff(np.sort(base.closeness))
     assume(gaps.size == 0 or gaps.min() > 1e-9)
     perm = rng.permutation(m)
-    permuted = topsis_rank(DecisionMatrix(x[perm], w, directions))
+    permuted = topsis_rank(x[perm], directions, w)
     assert permuted.closeness == pytest.approx(base.closeness[perm], rel=1e-9, abs=1e-12)
     assert perm[permuted.ranking].tolist() == base.ranking.tolist()
 
@@ -197,5 +196,5 @@ def test_closeness_always_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 15)), int(rng.integers(1, 5))
     x = rng.uniform(0.1, 5.0, size=(m, n))
-    res = topsis_rank(DecisionMatrix(x, equal_weights(n), (COST,) * n))
+    res = topsis_rank(x, (COST,) * n, equal_weights(n))
     assert np.all(res.closeness >= 0.0) and np.all(res.closeness <= 1.0)
