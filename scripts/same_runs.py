@@ -23,10 +23,11 @@ Each side runs, one process at a time and with one BLAS thread:
 
 The run records are compared document by document without their wall-clock
 fields (``timestamp``, ``started_at``, ``finished_at``), and each study's
-``metrics.json`` without ``elapsed_seconds``. The ``front`` CSVs and the
-stdout of each ``run`` (without its "run record written to" line, which names
-a path) are compared line by line. Every difference is printed, and the exit
-status is 1 if there is any, 0 otherwise.
+``metrics.json`` without ``elapsed_seconds``. The ``front`` CSVs, every
+``verify_*/*.csv``, the stdout of each ``run`` (without its "run record
+written to" line, which names a path) and the stdout of ``verify --all``
+(without its ``elapsed_seconds:`` lines) are compared line by line. Every
+difference is printed, and the exit status is 1 if there is any, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -85,8 +86,8 @@ def _moboga(checkout: Path, args: list[str]) -> str:
 
 def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list]:
     """Every output of one side: run records and verify metrics files as lists
-    of documents without their wall-clock fields, ``front`` CSVs and ``run``
-    stdout as lists of lines."""
+    of documents without their wall-clock fields; CSVs and stdout as lists of
+    lines."""
     docs: dict[str, list] = {}
     for name, args in runs.items():
         record = out / f"{name}.jsonl"
@@ -99,9 +100,12 @@ def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str,
         kept = [s for s in lines[:1 + CUT_OBSERVATIONS] if json.loads(s)["kind"] != "result"]
         cut.write_text("".join(line + "\n" for line in kept))
         docs[f"front {name} cut"] = _moboga(checkout, ["front", str(cut)]).splitlines()
-    _moboga(checkout, ["verify", "--all", "--out-dir", str(out)])
+    stdout = _moboga(checkout, ["verify", "--all", "--out-dir", str(out)]).splitlines()
+    docs["stdout verify"] = [s for s in stdout if not s.startswith("elapsed_seconds:")]
     for metrics in sorted(out.glob("verify_*/metrics.json")):
         docs[f"verify {metrics.parent.name}"] = [json.loads(metrics.read_text())]
+    for table in sorted(out.glob("verify_*/*.csv")):
+        docs[f"verify {table.parent.name}/{table.name}"] = table.read_text().splitlines()
     return {
         key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} if isinstance(d, dict) else d
               for d in ds]

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from typing import Any, Optional, Sequence
+from typing import IO, Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +50,6 @@ EXIT_NO_FEASIBLE = 4
 EXIT_VERIFY_FAILED = 5
 
 SEED_ENV_VAR = "MOBOGA_SEED"
-
-_VERIFY_SEEDS = {"binh-korn": 7, "constr-ex": 7, "sinusoid-1d": 3}
 
 
 class ConfigError(ValueError):
@@ -117,10 +115,11 @@ def load_config(path: Optional[str]) -> dict[str, Any]:
     # its own instead of being merged into every other one
     parser = configparser.ConfigParser(default_section="")
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path)
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     for section in parser.sections():
@@ -300,14 +299,18 @@ def _csv_value(v) -> str:
     return str(v)
 
 
+def _write_csv(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+
+
 def cmd_front(args: argparse.Namespace) -> int:
     record = load_record(args.record)
     header, rows = _front_rows(record)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
     with out as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        _write_csv(fh, header, rows)
     if args.out:
         print(f"front data written to {args.out} ({len(rows)} rows)")
     return EXIT_OK
@@ -317,28 +320,8 @@ def cmd_front(args: argparse.Namespace) -> int:
 # verify
 
 
-def _write_objectives_csv(path: str, names: Sequence[str], rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
-        for row in np.atleast_2d(rows):
-            w.writerow([repr(float(v)) for v in row])
-
-
-def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, Any]]:
-    problem = get_problem(name)
-    # the reference study runs a fixed 50-iteration exploration, so delta sits
-    # at the duplicate-detection floor and the budget does the stopping
-    cfg = EngineConfig(
-        n_initial=8,
-        max_iterations=58,  # 8 initial + 50 exploration evaluations
-        delta=1e-12,
-        seed=_VERIFY_SEEDS[name],
-    )
-    started = time.perf_counter()
-    result = run_engine(problem, cfg)
-    elapsed = time.perf_counter() - started
-
+def _front_checks(problem: Problem, result: RunResult) -> tuple[bool, dict, dict]:
+    """GD of the engine front to the grid oracle's, and no hard violation."""
     oracle = grid_reference_front(problem, 400)
     front = result.archive.objective_matrix()[result.pof]
     gd = generational_distance(front, oracle)
@@ -347,48 +330,27 @@ def _verify_front_benchmark(name: str, out_dir: str) -> tuple[bool, dict[str, An
         not all_satisfied(problem.hard_constraints, obs.candidate)
         for obs in result.archive.observations
     )
-
-    _write_objectives_csv(
-        os.path.join(out_dir, "moboga_front.csv"), problem.objective_names, front
-    )
-    _write_objectives_csv(
-        os.path.join(out_dir, "oracle_front.csv"), problem.objective_names, oracle
-    )
     metrics = {
-        "benchmark": name,
-        "seed": cfg.seed,
-        "evaluations": len(result.archive),
         "front_size": len(result.pof),
         "generational_distance": gd,
         "gd_threshold": 0.05 * diag,
         "objective_diagonal": diag,
         "hard_violations": violations,
-        "elapsed_seconds": elapsed,
     }
-    passed = gd <= 0.05 * diag and violations == 0
-    return passed, metrics
+    names = problem.objective_names
+    csvs = {"moboga_front.csv": (names, front), "oracle_front.csv": (names, oracle)}
+    return gd <= 0.05 * diag and violations == 0, metrics, csvs
 
 
-def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
-    problem = get_problem("sinusoid-1d")
-    cfg = EngineConfig(
-        n_initial=1,
-        max_iterations=16,  # seed point + 15 exploration evaluations
-        delta=1e-12,
-        seed=_VERIFY_SEEDS["sinusoid-1d"],
-    )
-    started = time.perf_counter()
-    result = run_engine(problem, cfg, initial_candidates=[Candidate({"x": 0.1})])
-    elapsed = time.perf_counter() - started
-
-    xs = np.array([obs.candidate["x"] for obs in result.archive.observations])
+def _sinusoid_checks(problem: Problem, result: RunResult) -> tuple[bool, dict, dict]:
+    """No query in the hard band, one in the soft tail, and the best feasible
+    query in the oracle's basin."""
+    observations = result.archive.observations
+    xs = np.array([obs.candidate["x"] for obs in observations])
+    qs = result.archive.objective_matrix()[:, 0]
     in_hard_band = int(np.sum((xs >= 0.2) & (xs <= 0.6)))
     in_soft_tail = int(np.sum(xs > 0.6))
-    feasible_q = [
-        float(obs.objectives[0])
-        for obs in result.archive.observations
-        if obs.feasible
-    ]
+    feasible_q = [float(q) for q, obs in zip(qs, observations) if obs.feasible]
     best_q = min(feasible_q) if feasible_q else float("inf")
 
     grid = np.linspace(0.0, 1.2, 10_000)
@@ -396,26 +358,16 @@ def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
     oracle_min = float(sinusoid_1d(grid[feasible_mask]).min())
     basin_bound = float(sinusoid_1d(0.08))
 
-    _write_objectives_csv(
-        os.path.join(out_dir, "moboga_queries.csv"),
-        ["x", "q"],
-        np.column_stack([xs, [float(o.objectives[0]) for o in result.archive.observations]]),
-    )
-    _write_objectives_csv(
-        os.path.join(out_dir, "oracle_curve.csv"),
-        ["x", "q"],
-        np.column_stack([grid[::10], sinusoid_1d(grid[::10])]),
-    )
     metrics = {
-        "benchmark": "sinusoid-1d",
-        "seed": cfg.seed,
-        "evaluations": len(result.archive),
         "hard_band_queries": in_hard_band,
         "soft_tail_queries": in_soft_tail,
         "best_feasible_q": best_q,
         "oracle_feasible_min": oracle_min,
         "basin_bound": basin_bound,
-        "elapsed_seconds": elapsed,
+    }
+    csvs = {
+        "moboga_queries.csv": (["x", "q"], np.column_stack([xs, qs])),
+        "oracle_curve.csv": (["x", "q"], np.column_stack([grid[::10], sinusoid_1d(grid[::10])])),
     }
     passed = (
         in_hard_band == 0
@@ -423,23 +375,48 @@ def _verify_sinusoid(out_dir: str) -> tuple[bool, dict[str, Any]]:
         and best_q <= basin_bound
         and abs(best_q - oracle_min) <= 0.05
     )
+    return passed, metrics, csvs
+
+
+# each study's seed, initial-design size, total budget (initial design
+# included), given initial candidates and checks: the front studies run 8
+# initial + 50 exploration evaluations, sinusoid-1d its seed point + 15
+_STUDIES = {
+    "binh-korn": (7, 8, 58, (), _front_checks),
+    "constr-ex": (7, 8, 58, (), _front_checks),
+    "sinusoid-1d": (3, 1, 16, (Candidate({"x": 0.1}),), _sinusoid_checks),
+}
+
+
+def _verify_study(name: str, out_dir: str) -> tuple[bool, dict[str, Any]]:
+    """Run one study, time it and write the CSVs its checks return."""
+    seed, n_initial, budget, given, checks = _STUDIES[name]
+    problem = get_problem(name)
+    # each study runs a fixed exploration, so delta sits at the
+    # duplicate-detection floor and the budget does the stopping
+    cfg = EngineConfig(n_initial=n_initial, max_iterations=budget, delta=1e-12, seed=seed)
+    started = time.perf_counter()
+    result = run_engine(problem, cfg, initial_candidates=given)
+    elapsed = time.perf_counter() - started
+
+    passed, checked, csvs = checks(problem, result)
+    for filename, (header, rows) in csvs.items():
+        with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, header, ([repr(float(v)) for v in row] for row in rows))
+    metrics = {"benchmark": name, "seed": seed, "evaluations": len(result.archive),
+               **checked, "elapsed_seconds": elapsed}
     return passed, metrics
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not args.all and args.which not in BUILTIN_PROBLEMS:
-        raise ConfigError(
-            f"unknown benchmark {args.which!r}; choose from {', '.join(sorted(BUILTIN_PROBLEMS))}"
-        )
+    if not args.all and args.which not in _STUDIES:
+        raise ConfigError(f"unknown benchmark {args.which!r}; choose from {', '.join(_STUDIES)}")
     code = EXIT_OK
-    for name in sorted(BUILTIN_PROBLEMS) if args.all else [args.which]:
+    for name in _STUDIES if args.all else [args.which]:
         default = f"verify_{name.replace('-', '_')}"
         out_dir = os.path.join(args.out_dir or "", default) if args.all else args.out_dir or default
         os.makedirs(out_dir, exist_ok=True)
-        if name == "sinusoid-1d":
-            passed, metrics = _verify_sinusoid(out_dir)
-        else:
-            passed, metrics = _verify_front_benchmark(name, out_dir)
+        passed, metrics = _verify_study(name, out_dir)
         metrics["pass"] = passed
         with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=2)
@@ -494,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="reproduce a benchmark study and check thresholds")
     study = p_verify.add_mutually_exclusive_group(required=True)
-    study.add_argument("which", nargs="?", help="binh-korn | constr-ex | sinusoid-1d")
+    study.add_argument("which", nargs="?", help=" | ".join(_STUDIES))
     study.add_argument("--all", action="store_true", help="every study, into <out-dir>/verify_*")
     p_verify.add_argument("--out-dir", help="directory for CSVs and metrics")
     p_verify.set_defaults(func=cmd_verify)

@@ -162,10 +162,16 @@ def _result_from_json(doc: dict[str, Any], archive: Archive) -> RunResult:
     pof = [int(i) for i in doc["pof"]]
     if not all(0 <= i < n for i in pof):
         raise ValueError(f"pof {pof} has an index outside the {n} observations")
+    if len(set(pof)) != len(pof):
+        raise ValueError(f"pof {pof} repeats an index")
+    if not all(archive.observations[i].feasible for i in pof):
+        raise ValueError(f"pof {pof} names an infeasible observation")
     best_index = int(doc["best_index"])
     if best_index not in pof:
         raise ValueError(f"best_index {best_index} is not in pof")
     closeness = {int(i): float(v) for i, v in doc["closeness"]}
+    if len(closeness) != len(doc["closeness"]):
+        raise ValueError("closeness repeats an index")
     if set(closeness) != set(pof):
         raise ValueError("closeness keys differ from the pof indices")
     archive.stop_reason = doc["stop_reason"]

@@ -56,6 +56,13 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "nope.ini" in capsys.readouterr().err
 
+    def test_unreadable_config_path_names_the_path(self, tmp_path, capsys):
+        args, out = run_args(tmp_path, "--config", str(tmp_path))
+        args[args.index("--iters") + 1] = "9"
+        assert main(args) == EXIT_CONFIG
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_iters_is_a_config_error(self, tmp_path, capsys):
         args, _ = run_args(tmp_path)
         args[args.index("--iters") + 1] = "0"
@@ -531,10 +538,12 @@ class TestFront:
             ({"best_index": 5}, "best_index"),
             ({"iterations_used": 0}, "iterations_used"),
             ({"iterations_used": 2}, "iterations_used"),
+            ({"pof": [0, 0]}, "pof"),
+            ({"closeness": [[0, 1.0], [0, 0.25]]}, "closeness"),
         ],
         ids=[
             "closeness-misses-pof", "pof-outside-archive", "best-not-on-front",
-            "iterations-used-short", "iterations-used-long",
+            "iterations-used-short", "iterations-used-long", "pof-repeats", "closeness-repeats",
         ],
     )
     def test_result_line_inconsistent_with_the_archive_is_a_runtime_error(
@@ -544,6 +553,14 @@ class TestFront:
         assert self.front_of(tmp_path, self.HEADER, self.OBSERVATION, result) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "line 3" in err and culprit in err
+
+    def test_result_line_with_an_infeasible_front_member_is_a_runtime_error(
+        self, tmp_path, capsys
+    ):
+        infeasible = dict(self.OBSERVATION, feasible=False)
+        assert self.front_of(tmp_path, self.HEADER, infeasible, self.RESULT) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "line 3" in err and "pof" in err and "infeasible" in err
 
     @pytest.mark.parametrize(
         "after",
@@ -581,14 +598,10 @@ class TestVerify:
 
         failing = set()
 
-        def front_study(name, out_dir):
+        def study(name, out_dir):
             return name not in failing, {"benchmark": name}
 
-        def sinusoid_study(out_dir):
-            return "sinusoid-1d" not in failing, {"benchmark": "sinusoid-1d"}
-
-        monkeypatch.setattr(cli, "_verify_front_benchmark", front_study)
-        monkeypatch.setattr(cli, "_verify_sinusoid", sinusoid_study)
+        monkeypatch.setattr(cli, "_verify_study", study)
         return failing
 
     def test_all_runs_every_study_into_out_dir(self, tmp_path, stub_studies):
@@ -606,6 +619,25 @@ class TestVerify:
         # the other studies still ran
         assert len(list(tmp_path.glob("verify_*/metrics.json"))) == 3
         assert f"verification FAILED for {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, header, counts",
+        [
+            ("constr-ex", "q1,q2", {"moboga_front.csv": "front_size", "oracle_front.csv": None}),
+            ("sinusoid-1d", "x,q", {"moboga_queries.csv": "evaluations", "oracle_curve.csv": 1000}),
+        ],
+        ids=["constr-ex", "sinusoid-1d"],
+    )
+    def test_study_writes_two_csvs_under_a_header_row(self, tmp_path, name, header, counts):
+        """Each count of data rows is a metrics key, a number, or None for any."""
+        assert main(["verify", name, "--out-dir", str(tmp_path)]) == EXIT_OK
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(counts)
+        for filename, count in counts.items():
+            lines = (tmp_path / filename).read_text().splitlines()
+            assert lines[0] == header and len(lines) > 1
+            if count is not None:
+                assert len(lines) - 1 == (metrics[count] if isinstance(count, str) else count)
 
     def test_problems_lists_builtins(self, capsys):
         assert main(["problems"]) == EXIT_OK
