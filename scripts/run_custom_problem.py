@@ -3,11 +3,15 @@
 
 Defines a mixed continuous/discrete/categorical space with a hard budget
 constraint and a soft preference, runs the engine, and prints the measured
-Pareto front plus the recommended candidate.
+Pareto front plus the recommended candidate. The constraints are batched: each
+callable maps the parameter columns (one array per parameter) to an array, so
+the engine calls it once per GA population rather than once per candidate.
 """
 from __future__ import annotations
 
 import argparse
+
+import numpy as np
 
 from moboga import (
     Candidate,
@@ -48,12 +52,15 @@ def build_problem() -> Problem:
         ConstraintSpec(
             "width_budget",
             predicate=lambda c: c["width"] <= 128,
-            violation=lambda c: max(0.0, (c["width"] - 128) / 128),
+            violation=lambda c: np.maximum(0.0, (c["width"] - 128) / 128),
+            batched=True,
         ),
         ConstraintSpec(
             "prefer_low_dropout",
             predicate=lambda c: c["dropout"] <= 0.4,
-            beta=lambda c: 0.3,  # explorable, but at reduced acquisition
+            # explorable, but at reduced acquisition
+            beta=lambda c: np.full(len(c["dropout"]), 0.3),
+            batched=True,
         ),
     )
     return Problem(

@@ -8,10 +8,10 @@ beyond erfc's own is the rounding of ``z / sqrt(2)``, about z^2 / 2 ulps in
 the lower tail.
 Constraint factors multiply the result: indicator (0/1) for hard constraints,
 beta in [0, 1) for violated soft ones. ``ca_ei`` scores encoded rows, such as a
-GA population: the rows are decoded once, only for the constraint callables,
-and their product runs once per candidate; the rows it leaves above 0 are
-snapped onto the space in one ``encode`` call, and each objective takes one
-posterior over them.
+GA population: one snap of the rows gives the constraints their columns (and,
+only for unbatched ones, candidates), and the rows left above 0 their encoding;
+the factors multiply in declaration order, and each objective takes one
+posterior over those rows.
 """
 from __future__ import annotations
 
@@ -19,8 +19,9 @@ import math
 
 import numpy as np
 
-from .objectives import ConstraintSpec, soft_factor
-from .space import SearchSpace, decode, encode
+from .objectives import Batch, ConstraintSpec, soft_factor
+from .space import SearchSpace, _candidates, _columns, _encode_columns, _snapped
+from .space import encode  # noqa: F401  bound for perfbench's space.encode trace hook
 from .surrogate import GpModel, gp_posterior
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -55,19 +56,17 @@ def ca_ei(
     y_best[j] is objective j's incumbent: the best (minimum) observed target
     among feasible observations when any exist, else the global best.
     """
+    snapped = _snapped(space, genomes)
+    rows = Batch(len(genomes), lambda: _columns(space, snapped),
+                 lambda: _candidates(space, snapped))
     factor = np.ones(len(genomes))
-    if constraints:
-        for i, x in enumerate(decode(space, genomes)):
-            f = 1.0  # a Python float: numpy scalar arithmetic costs more per step
-            for c in constraints:
-                f *= soft_factor(c, x)
-                if f == 0.0:
-                    break
-            factor[i] = f
+    for c in constraints:  # rows at factor 0 call no later unbatched callable
+        at = np.flatnonzero(factor)
+        factor[at] *= soft_factor(c, rows, at)
     out = np.zeros((len(genomes), len(models)))
     live = np.flatnonzero(factor)
     if live.size:
-        X = encode(space, genomes[live])
+        X = _encode_columns(space, [col[live] for col in snapped])
         for j, model in enumerate(models):
             mu, sigma = gp_posterior(model, X)
             out[live, j] = expected_improvement(mu, sigma, y_best[j]) * factor[live]

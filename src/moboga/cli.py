@@ -27,7 +27,7 @@ from .engine import (
     run as run_engine,
 )
 from .nsga2 import GaConfig
-from .objectives import EvaluationError, Problem, all_satisfied
+from .objectives import Batch, EvaluationError, Problem, all_satisfied
 from .pareto import generational_distance, objective_diagonal
 from .problems import (
     BUILTIN_PROBLEMS,
@@ -326,10 +326,8 @@ def _front_checks(problem: Problem, result: RunResult) -> tuple[bool, dict, dict
     front = result.archive.objective_matrix()[result.pof]
     gd = generational_distance(front, oracle)
     diag = objective_diagonal(oracle)
-    violations = sum(
-        not all_satisfied(problem.hard_constraints, obs.candidate)
-        for obs in result.archive.observations
-    )
+    cands = [obs.candidate for obs in result.archive.observations]
+    violations = int(np.count_nonzero(~all_satisfied(problem.hard_constraints, Batch.of(cands))))
     metrics = {
         "front_size": len(result.pof),
         "generational_distance": gd,

@@ -2,9 +2,9 @@
 
 Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
-vector: one ``ca_ei`` call scores a whole GA population's rows, decoding them
-only for the constraint callables. The first proposal of a run fits its GPs
-cold; every later one passes the previous proposal's models back in, so each
+vector: one ``ca_ei`` call scores a whole GA population's rows, building a
+candidate only for an unbatched constraint. The first proposal of a run fits its
+GPs cold; every later one passes the previous proposal's models back in, so each
 objective's evidence search starts from the hyperparameters it found on the
 previous, smaller archive. The non-dominated rows of the final GA population
 are the informative pool: decoded once to candidates, and encoded once as

@@ -8,7 +8,8 @@ A hard constraint is exactly a soft one with beta identically zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,57 +24,103 @@ class EvaluationError(RuntimeError):
 class ConstraintSpec:
     """A named predicate with hard (beta=None) or soft enforcement.
 
-    ``beta`` maps a violating candidate to a penalty factor in [0, 1).
-    ``violation`` optionally measures by how much the candidate misses the
-    constraint (0 when satisfied); only ``total_violation`` consumes it, for
-    the genetic-algorithm benchmark runner's death penalty and the
-    initialization tie-break.
+    ``beta`` maps a violating candidate to a penalty factor in [0, 1); the
+    optional ``violation`` maps it to how far it misses (read by
+    ``total_violation`` only). ``batched=True`` marks all three as mapping
+    parameter columns (name -> (m,) array, as ``space.columns``) to (m,) arrays.
     """
 
     name: str
     predicate: Callable[[Candidate], bool]
     beta: Optional[Callable[[Candidate], float]] = None
     violation: Optional[Callable[[Candidate], float]] = None
+    batched: bool = False
 
     @property
     def is_hard(self) -> bool:
         return self.beta is None
 
 
+class Batch:
+    """m points as the constraint functions read them: ``columns`` (name ->
+    (m,) array) for batched constraints, ``candidates`` for the others; each
+    is built by the function given for it, on first use."""
+
+    def __init__(self, size: int, columns: Callable[[], Mapping[str, np.ndarray]],
+                 candidates: Callable[[], Sequence[Candidate]]):
+        self.size, self._columns, self._candidates = size, columns, candidates
+
+    columns = cached_property(lambda self: self._columns())
+    candidates = cached_property(lambda self: self._candidates())
+
+    @classmethod
+    def of(cls, cands: Sequence[Candidate]) -> Batch:
+        return cls(len(cands), lambda: {
+            n: np.array([x[n] for x in cands], dtype=object if isinstance(v, str) else None)
+            for n, v in cands[0].values.items()}, lambda: cands)
+
+
+def _call(c: ConstraintSpec, fn: Callable, b: Batch, at: np.ndarray, kind: type) -> np.ndarray:
+    """fn (c's predicate, beta or violation) at rows at of b, as a kind array: one
+    call over the columns if c is batched, else one per candidate (the only such loop)."""
+    if c.batched and len(at):
+        try:
+            out = np.asarray(fn(b.columns), dtype=kind)
+        except Exception as exc:
+            raise EvaluationError(f"constraint {c.name!r} failed: {exc}") from exc
+        if out.shape != (b.size,):
+            raise EvaluationError(f"constraint {c.name!r} gave shape {out.shape}, not ({b.size},)")
+        return out[at]
+    out = np.empty(len(at), dtype=kind)
+    for j, i in enumerate(at.tolist()):
+        x = b.candidates[i]
+        try:
+            out[j] = kind(fn(x))
+        except Exception as exc:
+            raise EvaluationError(f"constraint {c.name!r} failed at {x.values}: {exc}") from exc
+    return out
+
+
 def constraint_indicator(c: ConstraintSpec, x: Candidate) -> int:
     """1 if the constraint holds at x, else 0."""
-    try:
-        ok = bool(c.predicate(x))
-    except Exception as exc:
-        raise EvaluationError(f"constraint {c.name!r} failed at {x.values}: {exc}") from exc
-    return 1 if ok else 0
+    return int(all_satisfied((c,), x))
 
 
-def soft_factor(c: ConstraintSpec, x: Candidate) -> float:
-    """Multiplicative acquisition factor: 1 when satisfied, beta(x) or 0 otherwise."""
-    if constraint_indicator(c, x):
-        return 1.0
-    if c.beta is None:
-        return 0.0
-    b = float(c.beta(x))
-    if not (0.0 <= b < 1.0):
-        raise EvaluationError(
-            f"constraint {c.name!r}: beta(x) = {b} outside [0, 1)"
-        )
-    return b
+def soft_factor(c: ConstraintSpec, x: Union[Candidate, Batch], at: Optional[np.ndarray] = None):
+    """Acquisition factor: 1 where c holds, else beta (called only there) or 0;
+    a float for a candidate, an array over the rows at (default all) of a batch."""
+    b = Batch.of([x]) if isinstance(x, Candidate) else x
+    at = np.arange(b.size) if at is None else at
+    ok = _call(c, c.predicate, b, at, bool)
+    f, bad = ok.astype(float), (~ok).nonzero()[0]
+    if c.beta is not None and bad.size:
+        f[bad] = beta = _call(c, c.beta, b, at[bad], float)
+        wrong = beta[~((0.0 <= beta) & (beta < 1.0))]
+        if wrong.size:
+            raise EvaluationError(f"constraint {c.name!r}: beta(x) = {wrong[0]} outside [0, 1)")
+    return f[0].item() if isinstance(x, Candidate) else f
 
 
-def all_satisfied(constraints: Sequence[ConstraintSpec], x: Candidate) -> bool:
-    return all(constraint_indicator(c, x) for c in constraints)
+def all_satisfied(constraints: Sequence[ConstraintSpec], x: Union[Candidate, Batch]):
+    """Whether every constraint holds: a bool for a candidate, an array for a
+    batch. Once one predicate fails at a point, no later one is called there."""
+    b = Batch.of([x]) if isinstance(x, Candidate) else x
+    ok = np.ones(b.size, dtype=bool)
+    for c in constraints:
+        at = ok.nonzero()[0]
+        ok[at] = _call(c, c.predicate, b, at, bool)
+    return ok[0].item() if isinstance(x, Candidate) else ok
 
 
-def total_violation(constraints: Sequence[ConstraintSpec], x: Candidate) -> float:
-    """Summed violation of the constraints x misses (1 each where unmeasured)."""
-    return sum(
-        c.violation(x) if c.violation is not None else 1.0
-        for c in constraints
-        if not constraint_indicator(c, x)
-    )
+def total_violation(constraints: Sequence[ConstraintSpec], x: Union[Candidate, Batch]):
+    """Summed violation of the constraints missed (1 each where unmeasured):
+    a float for a candidate, an array for a batch."""
+    b = Batch.of([x]) if isinstance(x, Candidate) else x
+    total, every = np.zeros(b.size), np.arange(b.size)
+    for c in constraints:
+        bad = (~_call(c, c.predicate, b, every, bool)).nonzero()[0]
+        total[bad] += 1.0 if c.violation is None else _call(c, c.violation, b, bad, float)
+    return total[0].item() if isinstance(x, Candidate) else total
 
 
 # An evaluator measures all objectives for one candidate. It may be expensive;

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .objectives import ConstraintSpec, Problem, all_satisfied, total_violation
-from .space import Candidate, ContinuousParam, SearchSpace, decode
+from .objectives import Batch, ConstraintSpec, Problem, all_satisfied
+from .space import Candidate, ContinuousParam, SearchSpace
 
 
 class BenchmarkConfigError(ValueError):
@@ -59,8 +59,8 @@ SINUSOID_HARD_HI = 0.6
 SINUSOID_BETA_CAP = 1.0 - 1e-9
 
 
-def sinusoid_soft_beta(x: float) -> float:
-    """Severity-based penalty 1/(x-0.6)^4 for x > 0.6, clamped below 1.
+def sinusoid_soft_beta(x):
+    """Severity-based penalty 1/(x-0.6)^4 for x > 0.6, clamped below 1 (elementwise).
 
     The raw inverse-quartic exceeds 1 everywhere on this domain (the gap is at
     most 0.6), so the clamp keeps it a valid penalty factor. It also makes the
@@ -69,10 +69,9 @@ def sinusoid_soft_beta(x: float) -> float:
     study's "at least one soft-tail query" check cannot tell this penalty
     from none.
     """
-    gap = x - SINUSOID_HARD_HI
-    if gap <= 0:
-        return SINUSOID_BETA_CAP
-    return min(1.0 / gap**4, SINUSOID_BETA_CAP)
+    # a gap under 1e-3, or none (x <= 0.6), is raised to 1e-3: past the cap either way
+    gap = np.maximum(np.asarray(x, dtype=float) - SINUSOID_HARD_HI, 1e-3)
+    return np.minimum(1.0 / gap**4, SINUSOID_BETA_CAP)
 
 
 def _binh_korn_evaluator(c: Candidate):
@@ -87,52 +86,36 @@ def _sinusoid_evaluator(c: Candidate):
     return (float(sinusoid_1d(c["x"])),)
 
 
+def _batched(name, predicate, violation, beta=None) -> ConstraintSpec:
+    """A built-in constraint: each callable maps the columns x, y to an array."""
+    return ConstraintSpec(name, predicate, beta, violation, batched=True)
+
+
 def binh_korn_constraints() -> tuple[ConstraintSpec, ...]:
     return (
-        ConstraintSpec(
-            "c1",
-            predicate=lambda c: bool(binh_korn_c1(c["x"], c["y"])),
-            violation=lambda c: max(0.0, (c["x"] - 5.0) ** 2 + c["y"] ** 2 - 25.0),
-        ),
-        ConstraintSpec(
-            "c2",
-            predicate=lambda c: bool(binh_korn_c2(c["x"], c["y"])),
-            violation=lambda c: max(0.0, 7.7 - (c["x"] - 8.0) ** 2 - (c["y"] + 3.0) ** 2),
-        ),
+        _batched("c1", lambda c: binh_korn_c1(c["x"], c["y"]),
+                 lambda c: np.maximum(0.0, (c["x"] - 5.0) ** 2 + c["y"] ** 2 - 25.0)),
+        _batched("c2", lambda c: binh_korn_c2(c["x"], c["y"]),
+                 lambda c: np.maximum(0.0, 7.7 - (c["x"] - 8.0) ** 2 - (c["y"] + 3.0) ** 2)),
     )
 
 
 def constr_ex_constraints() -> tuple[ConstraintSpec, ...]:
     return (
-        ConstraintSpec(
-            "c1",
-            predicate=lambda c: bool(constr_ex_c1(c["x"], c["y"])),
-            violation=lambda c: max(0.0, 6.0 - (c["y"] + 9.0 * c["x"])),
-        ),
-        ConstraintSpec(
-            "c2",
-            predicate=lambda c: bool(constr_ex_c2(c["x"], c["y"])),
-            violation=lambda c: max(0.0, 1.0 - (-c["y"] + 9.0 * c["x"])),
-        ),
+        _batched("c1", lambda c: constr_ex_c1(c["x"], c["y"]),
+                 lambda c: np.maximum(0.0, 6.0 - (c["y"] + 9.0 * c["x"]))),
+        _batched("c2", lambda c: constr_ex_c2(c["x"], c["y"]),
+                 lambda c: np.maximum(0.0, 1.0 - (-c["y"] + 9.0 * c["x"]))),
     )
 
 
 def sinusoid_constraints() -> tuple[ConstraintSpec, ...]:
+    lo, hi = SINUSOID_HARD_LO, SINUSOID_HARD_HI
     return (
-        ConstraintSpec(
-            "hard_band",
-            predicate=lambda c: not (SINUSOID_HARD_LO <= c["x"] <= SINUSOID_HARD_HI),
-            violation=lambda c: max(
-                0.0,
-                min(c["x"] - SINUSOID_HARD_LO, SINUSOID_HARD_HI - c["x"]),
-            ),
-        ),
-        ConstraintSpec(
-            "soft_tail",
-            predicate=lambda c: c["x"] <= SINUSOID_HARD_HI,
-            beta=lambda c: sinusoid_soft_beta(c["x"]),
-            violation=lambda c: max(0.0, c["x"] - SINUSOID_HARD_HI),
-        ),
+        _batched("hard_band", lambda c: (c["x"] < lo) | (c["x"] > hi),
+                 lambda c: np.maximum(0.0, np.minimum(c["x"] - lo, hi - c["x"]))),
+        _batched("soft_tail", lambda c: c["x"] <= hi, lambda c: np.maximum(0.0, c["x"] - hi),
+                 beta=lambda c: sinusoid_soft_beta(c["x"])),
     )
 
 
@@ -195,14 +178,15 @@ def feasible_grid_objectives(problem: Problem, resolution: int) -> np.ndarray:
     if len(params) != 2 or not all(isinstance(p, ContinuousParam) for p in params):
         raise BenchmarkConfigError("grid fronts require a 2-D continuous space")
     px, py = params
-    xs = np.linspace(px.lo, px.hi, resolution)
-    ys = np.linspace(py.lo, py.hi, resolution)
-    rows = []
-    for vx in xs:
-        for vy in ys:
-            cand = Candidate({px.name: float(vx), py.name: float(vy)})
-            if all_satisfied(problem.constraints, cand):
-                rows.append(problem.evaluator(cand))
+    xs = np.repeat(np.linspace(px.lo, px.hi, resolution), resolution)
+    ys = np.tile(np.linspace(py.lo, py.hi, resolution), resolution)
+
+    def points(keep=slice(None)) -> list[Candidate]:
+        return [Candidate({px.name: a, py.name: b})
+                for a, b in zip(xs[keep].tolist(), ys[keep].tolist())]
+
+    grid = Batch(xs.size, lambda: {px.name: xs, py.name: ys}, points)
+    rows = [problem.evaluator(c) for c in points(all_satisfied(problem.constraints, grid))]
     if not rows:
         raise BenchmarkConfigError(
             f"no feasible point on a {resolution}x{resolution} grid of {problem.name!r}"
@@ -226,23 +210,3 @@ def grid_reference_front(problem: Problem, resolution: int) -> np.ndarray:
             front.append(points[i])
             best_q2 = points[i, 1]
     return np.asarray(front)
-
-
-def penalized_score_fn(problem: Problem, resolution: int = 64):
-    """Score function, (m, d) -> (m, k), for raw GA runs on a constrained benchmark.
-
-    Feasible genomes score their true objectives; infeasible ones take a death
-    penalty of the grid's feasible-worst value plus the total constraint
-    violation in every objective, which keeps them strictly dominated.
-    """
-    worst = feasible_grid_objectives(problem, resolution).max(axis=0)
-
-    def score(genomes: np.ndarray) -> np.ndarray:
-        cands = decode(problem.space, genomes)
-        return np.array([
-            problem.evaluator(c) if all_satisfied(problem.constraints, c)
-            else worst + total_violation(problem.constraints, c)
-            for c in cands
-        ], dtype=float)
-
-    return score

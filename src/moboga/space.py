@@ -223,6 +223,30 @@ def _snapped(space: SearchSpace, G: np.ndarray) -> list[np.ndarray]:
     return columns
 
 
+def columns(space: SearchSpace, G: np.ndarray) -> dict[str, np.ndarray]:
+    """Rows G decoded as ``decode`` does, one (m,) array per parameter name:
+    continuous floats, discrete values, categorical labels (object array)."""
+    return _columns(space, _snapped(space, G))
+
+
+def _columns(space: SearchSpace, snapped: list[np.ndarray], exact: bool = False):
+    """Decoded snapped columns; exact=True keeps discrete values' own objects."""
+    out = {}
+    for p, col in zip(space.params, snapped):
+        if isinstance(p, ContinuousParam):
+            out[p.name] = col
+        else:
+            table = p.values if isinstance(p, DiscreteParam) else p.labels
+            kind = object if exact or isinstance(p, CategoricalParam) else None
+            out[p.name] = np.asarray(table, dtype=kind)[col]
+    return out
+
+
+def _candidates(space: SearchSpace, snapped: list[np.ndarray]) -> list[Candidate]:
+    values = [col.tolist() for col in _columns(space, snapped, exact=True).values()]
+    return [Candidate(dict(zip(space.names, row))) for row in zip(*values)]
+
+
 def decode(space: SearchSpace, G: np.ndarray) -> Union[Candidate, list[Candidate]]:
     """Map any finite rows of the right width back to valid candidates.
 
@@ -232,15 +256,7 @@ def decode(space: SearchSpace, G: np.ndarray) -> Union[Candidate, list[Candidate
     to the lower rank); categorical blocks take the argmax (ties to the first
     label).
     """
-    columns: dict[str, list] = {}
-    for p, col in zip(space.params, _snapped(space, G)):
-        if isinstance(p, ContinuousParam):
-            columns[p.name] = col.tolist()
-        elif isinstance(p, DiscreteParam):
-            columns[p.name] = [p.values[k] for k in col.tolist()]
-        else:
-            columns[p.name] = [p.labels[k] for k in col.tolist()]
-    cands = [Candidate(dict(zip(columns, row))) for row in zip(*columns.values())]
+    cands = _candidates(space, _snapped(space, G))
     return cands[0] if np.ndim(G) == 1 else cands
 
 

@@ -33,13 +33,13 @@ from moboga.problems import (
     binh_korn_problem,
     constr_ex_problem,
     grid_reference_front,
-    penalized_score_fn,
 )
 from moboga.space import Candidate, ContinuousParam, SearchSpace, encode
 from moboga.surrogate import GpHyperParams, gp_fit, gp_posterior
 from moboga.topsis import BENEFIT, COST, topsis_rank
 
 from test_pareto import oracle_front, oracle_front_partition
+from test_problems import penalized_score_fn
 from test_surrogate import oracle_posterior
 from test_topsis import oracle_topsis
 

@@ -319,3 +319,64 @@ def test_constraint_factor_product_bounds_and_semantics(specs):
         assert product < 1.0
     if any(s[0] == "hard" and not s[1] for s in specs):
         assert product == 0.0
+
+
+BATCHED_HARD = ConstraintSpec("hard", predicate=lambda c: c["x"] < 1.4, batched=True)
+BATCHED_SOFT = ConstraintSpec(
+    "soft", predicate=lambda c: c["c"] != "a", beta=lambda c: 0.2 + 0.3 * c["x"], batched=True
+)
+
+
+def counted_candidates(monkeypatch):
+    """Count every Candidate built and every decode call from here on."""
+    import moboga.space as space
+
+    counts = {"candidates": 0, "decode": 0}
+    init, decode_ = space.Candidate.__init__, space.decode
+
+    def counting_init(self, *args, **kwargs):
+        counts["candidates"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_decode(*args, **kwargs):
+        counts["decode"] += 1
+        return decode_(*args, **kwargs)
+
+    monkeypatch.setattr(space.Candidate, "__init__", counting_init)
+    monkeypatch.setattr(space, "decode", counting_decode)
+    return counts
+
+
+def test_ca_ei_builds_no_candidate_when_every_constraint_is_batched(monkeypatch):
+    models = mixed_models(2)
+    rng = np.random.default_rng(3)
+    rows = encode(MIXED, [sample_uniform(MIXED, rng) for _ in range(40)])
+    counts = counted_candidates(monkeypatch)
+    ca_ei(models, [0.0, 0.0], (BATCHED_HARD, BATCHED_SOFT), MIXED, rows)
+    assert counts == {"candidates": 0, "decode": 0}
+    ca_ei(models, [0.0, 0.0], (BATCHED_HARD, MIXED_SOFT), MIXED, rows)
+    assert counts["candidates"] == 40  # the unbatched one reads candidates
+
+
+def test_batched_and_unbatched_spellings_score_bit_identically():
+    models = mixed_models(3)
+    y_best = [-0.3, 0.4, 0.0]
+    rng = np.random.default_rng(4)
+    rows = encode(MIXED, [sample_uniform(MIXED, rng) for _ in range(60)])
+    # soft first, so the hard zero cannot skip it on any row
+    want = ca_ei(models, y_best, (MIXED_SOFT, MIXED_HARD), MIXED, rows)
+    assert 0 < np.count_nonzero(want) < want.size
+    for constraints in ((BATCHED_SOFT, MIXED_HARD), (MIXED_SOFT, BATCHED_HARD),
+                        (BATCHED_SOFT, BATCHED_HARD)):
+        assert np.array_equal(ca_ei(models, y_best, constraints, MIXED, rows), want)
+    want = ca_ei(models, y_best, (MIXED_HARD, MIXED_SOFT), MIXED, rows)
+    assert np.array_equal(ca_ei(models, y_best, (BATCHED_HARD, MIXED_SOFT), MIXED, rows), want)
+
+
+def test_an_unbatched_callable_skips_rows_an_earlier_batched_one_zeroed():
+    seen = []
+    soft = ConstraintSpec("soft", predicate=lambda c: seen.append(c["x"]) or True)
+    rows = np.linspace(0.0, 1.0, 11)[:, None]
+    band = ConstraintSpec("band", predicate=lambda c: c["x"] < 0.5, batched=True)
+    ca_ei([make_model()], [1.0], (band, soft), SPACE_1D, rows)
+    assert seen == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moboga.objectives import constraint_indicator
+from moboga.objectives import Batch, constraint_indicator, all_satisfied, total_violation
 from moboga.pareto import dominates
 from moboga.problems import (
     BenchmarkConfigError,
@@ -12,15 +12,35 @@ from moboga.problems import (
     constr_ex,
     constr_ex_c1,
     constr_ex_problem,
+    feasible_grid_objectives,
     get_problem,
     grid_reference_front,
-    penalized_score_fn,
     sinusoid_1d,
     sinusoid_problem,
     sinusoid_soft_beta,
 )
-from moboga.space import Candidate, ContinuousParam, SearchSpace
+from moboga.space import Candidate, ContinuousParam, SearchSpace, decode
 from moboga.objectives import Problem
+
+
+def penalized_score_fn(problem: Problem, resolution: int = 64):
+    """Score function, (m, d) -> (m, k), for raw GA runs on a constrained benchmark.
+
+    Feasible genomes score their true objectives; infeasible ones take a death
+    penalty of the grid's feasible-worst value plus the total constraint
+    violation in every objective, which keeps them strictly dominated.
+    """
+    worst = feasible_grid_objectives(problem, resolution).max(axis=0)
+
+    def score(genomes: np.ndarray) -> np.ndarray:
+        cands = decode(problem.space, genomes)
+        rows = Batch.of(cands)
+        ok = all_satisfied(problem.constraints, rows)
+        missed = total_violation(problem.constraints, rows)
+        return np.array([problem.evaluator(c) if good else worst + v
+                         for c, good, v in zip(cands, ok, missed)], dtype=float)
+
+    return score
 
 
 class TestBinhKorn:
