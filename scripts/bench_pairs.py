@@ -39,6 +39,10 @@ set-up pairs cover the workloads given with ``--pairs``, or every workload in
 ``BENCHMARK.json`` when there is no ``--pairs``::
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --label edges --setup-pairs 10
+
+``--traced WORKLOAD`` adds one traced repeat of that workload per side
+(``--seconds 0 --trace 1``, seed ``--first-seed``, parent first); each side's
+result line, with its per-layer metrics, goes under ``traced``.
 """
 from __future__ import annotations
 
@@ -91,11 +95,11 @@ def _copy_worktree(into: Path) -> None:
             shutil.copy2(ROOT / name, into / name)
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its last line of output, parsed."""
+def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run; its last line of output, parsed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     try:
@@ -195,6 +199,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="WORKLOAD=PAIRS")
     parser.add_argument("--setup-pairs", type=int, default=0, metavar="N",
                         help="set-up probe pairs per workload (default 0)")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
+                        help="one traced repeat of WORKLOAD per side")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--what", default="perfbench result lines of the parent commit "
                                           "and of the change, measured back to back")
@@ -204,13 +210,13 @@ def main(argv: list[str] | None = None) -> int:
     seconds = bench["run_seconds"]
     known = {w["name"] for w in bench["workloads"]}
     names = [name for name, _ in args.pairs]
-    unknown = [name for name in names if name not in known]
+    unknown = [name for name in names + args.traced if name not in known]
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {sorted(known)}")
     if len(set(names)) != len(names):
         parser.error("give each workload's --pairs once")
-    if args.setup_pairs < 0 or not (names or args.setup_pairs):
-        parser.error("give --pairs, a positive --setup-pairs, or both")
+    if args.setup_pairs < 0 or not (names or args.setup_pairs or args.traced):
+        parser.error("give --pairs, a positive --setup-pairs, --traced, or any of them")
 
     pairs: list[dict] = []
     summary: dict = {}
@@ -242,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         setup_s = next(m for m in bench["end_to_end"] if m["name"] == "setup_s")
         setup = {name: _setup_pairs(checkouts, name, args.setup_pairs, setup_s)
                  for name in setup_names}
+        traced = {name: {side: _run(checkouts[side], name, args.first_seed, 0, trace=1)
+                         for side in SIDES}
+                  for name in args.traced}
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
@@ -254,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": pairs,
         "setup_command": "python3 perfbench/setup_probe.py W, timed from spawn",
         "setup_probe": setup,
+        "traced_command": f"python3 perfbench/run.py --workload W --seed {args.first_seed} "
+                          "--seconds 0 --trace 1, parent first",
+        "traced": traced,
     }, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

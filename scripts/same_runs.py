@@ -14,8 +14,10 @@ Each side runs, one process at a time and with one BLAS thread:
   categorical parameters), read from this checkout on both sides
 * ``moboga run --config C`` for each config C of ``CONFIGS``, written into the
   temporary directory: a named problem with both parts replaced, an evaluator
-  over a custom space with a discrete parameter, and a named problem without
-  its constraints and with one ``[ga]`` key
+  over a custom space with a discrete parameter, a named problem without its
+  constraints and with one ``[ga]`` key, and constr-ex run to 40 evaluations
+  with seed 7 and the stop rule off (``delta = 1e-12``), so that proposals
+  past 20 evaluations refit with kept hyperparameters
 * ``moboga front`` on each run record, and on a cut of it: the header and at
   most ``CUT_OBSERVATIONS`` observations with no result line, so that ``front``
   recomputes the result as it does for an interrupted run
@@ -63,6 +65,11 @@ CONFIGS = {
     "no-constraints-one-ga-key-config": (
         "[problem]\nname = binh-korn\nconstraints = none\n\n"
         "[engine]\nmax_iterations = 12\n\n[ga]\ncrossover_prob = 0.8\n"
+    ),
+    # with the default delta this run stops after 13 evaluations, before any kept-θ refit
+    "constr-ex-40-config": (
+        "[problem]\nname = constr-ex\n\n"
+        "[engine]\nmax_iterations = 40\ndelta = 1e-12\nseed = 7\n"
     ),
 }
 CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}

@@ -4,23 +4,26 @@ Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
 vector: one ``ca_ei`` call scores a whole GA population's rows, building a
 candidate only for an unbatched constraint. The first proposal of a run fits its
-GPs cold; every later one passes the previous proposal's models back in, so each
-objective's evidence search starts from the hyperparameters it found on the
-previous, smaller archive. The non-dominated rows of the final GA population
-are the informative pool: decoded once to candidates, and encoded once as
-rows. Every point enters the archive through one admission rule: a candidate
-is admitted when it meets every hard constraint and sits more than
-``DUPLICATE_TOL`` from every point already in the archive or admitted before
-it. The initial design applies it too; its given candidates, and the
-least-violating draws that fill it once its draw budget runs out, skip only
-the hard check. TOPSIS orders the pool best-first, and the first admitted
-member is the one query of the proposal; when none is admitted, the first
-admitted one of up to 1000 uniform draws is. The query keeps the encoding it
-was admitted with: the stop rule measures it and the archive stores it.
-Exploration ends when the query sits within ``delta`` of something already
-queried (in encoded space) or when the evaluation budget is exhausted.
-Exploitation extracts the Pareto front of the feasible observations and
-recommends one of them via TOPSIS.
+GPs cold; every later one passes the previous proposal's models back in. The
+hyperparameters are searched again only once the archive reaches a search size
+(``next_search_size``: every size up to 20, then sizes about 10% apart) above
+the size those models were fitted at; that evidence search starts from the
+models' hyperparameters. In between, each objective keeps its length scales and
+signal variance and is refitted with them fixed: one Cholesky factor instead of
+a search. The non-dominated rows of the final GA population are the informative
+pool: decoded once to candidates, and encoded once as rows. Every point enters
+the archive through one admission rule: a candidate is admitted when it meets
+every hard constraint and sits more than ``DUPLICATE_TOL`` from every point
+already in the archive or admitted before it. The initial design applies it
+too; its given candidates, and the least-violating draws that fill it once its
+draw budget runs out, skip only the hard check. TOPSIS orders the pool
+best-first, and the first admitted member is the one query of the proposal;
+when none is admitted, the first admitted one of up to 1000 uniform draws is.
+The query keeps the encoding it was admitted with: the stop rule measures it
+and the archive stores it. Exploration ends when the query sits within
+``delta`` of something already queried (in encoded space) or when the
+evaluation budget is exhausted. Exploitation extracts the Pareto front of the
+feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -49,7 +52,7 @@ from .objectives import (
 )
 from .pareto import pareto_front
 from .space import Candidate, decode, encode, sample_uniform
-from .surrogate import GpModel, gp_fit
+from .surrogate import GpHyperParams, GpModel, gp_fit
 from .topsis import COST, BENEFIT, check_weights, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
@@ -58,6 +61,16 @@ MAX_ITERATIONS = "max_iterations"
 # Encodings this close count as the same point: decode/encode round-tripping
 # of a genome that sits on an archived candidate leaves float-noise residue.
 DUPLICATE_TOL = 1e-12
+
+
+def next_search_size(n: int) -> int:
+    """The smallest archive size above n at which the GP hyperparameters are
+    searched: the sizes are 1, then s + max(1, s // 10), so 1-20, 22, 24, ...
+    (about 10% apart once past 20)."""
+    s = 1
+    while s <= n:
+        s += max(1, s // 10)
+    return s
 
 
 def _min_distance(encodings, enc: np.ndarray) -> float:
@@ -186,8 +199,13 @@ def propose_next(
 ) -> Proposal:
     """Fit surrogates, search the acquisition vector, and pick the next query.
 
-    ``warm`` holds the previous proposal's models, one per objective; each
-    objective's evidence search then starts from that model's hyperparameters.
+    ``warm`` holds the previous proposal's models, one per objective. When
+    the archive has reached a search size (``next_search_size``) since the
+    archive those models were fitted on, each objective's evidence search
+    starts from that model's hyperparameters. Otherwise each objective keeps
+    the model's length scales and signal variance and is fitted with them
+    fixed, at the default noise: jitter a warm model needed is not carried
+    over. Without ``warm`` the search starts cold.
     """
     if len(archive) < 1:
         raise EngineError("propose_next needs at least one archived observation")
@@ -199,10 +217,16 @@ def propose_next(
     space = problem.space
     X = archive.encoded_matrix()
     targets = archive.objective_matrix()
-    models = tuple(
-        gp_fit(X, targets[:, j], start=None if warm is None else warm[j].hyper)
-        for j in range(problem.n_objectives)
-    )
+    if warm is None or next_search_size(len(warm[0].train_inputs)) <= len(archive):
+        models = tuple(
+            gp_fit(X, targets[:, j], start=None if warm is None else warm[j].hyper)
+            for j in range(problem.n_objectives)
+        )
+    else:
+        models = tuple(
+            gp_fit(X, targets[:, j], GpHyperParams(m.hyper.length_scales, m.hyper.signal_variance))
+            for j, m in enumerate(warm)
+        )
     y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
     def score_fn(genomes: np.ndarray) -> np.ndarray:

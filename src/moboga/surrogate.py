@@ -19,6 +19,10 @@ z.z`` needs no triangular solve. The fitted model's ``log_evidence`` comes
 from the same helper, so it is the value the search maximized. A fit given
 ``start``, the hyperparameters of an earlier fit on a smaller archive, seeds
 the search from them, adds a few fresh draws and starts with a smaller step.
+A fit given fixed ``hyper`` runs no search: it forms the kernel once and takes
+one factor, escalating jitter only if that factor fails. The engine fits this
+way between hyperparameter searches, keeping the length scales and signal
+variance of the previous proposal's model at the default noise.
 
 The model keeps ``L^-1``, formed once per fit, so the posterior over a matrix
 of test inputs (GPML Alg. 2.1) is one kernel block and one matrix product

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moboga import engine
+from moboga import engine, surrogate
 from moboga.engine import (
     DUPLICATE_TOL,
     Archive,
@@ -13,6 +13,7 @@ from moboga.engine import (
     STOP_THRESHOLD,
     exploit,
     explore,
+    next_search_size,
     propose_next,
     run,
     stop_check,
@@ -23,6 +24,7 @@ from moboga.objectives import (
     EvaluationError,
     Problem,
     all_satisfied,
+    evaluate_candidate,
     total_violation,
 )
 from moboga.pareto import fast_nondominated_sort
@@ -37,7 +39,7 @@ from moboga.space import (
     encode,
     sample_uniform,
 )
-from moboga.surrogate import GpModel
+from moboga.surrogate import DEFAULT_NOISE, GpHyperParams, GpModel, gp_fit
 
 SMALL_GA = GaConfig(population_size=16, generations=6)
 
@@ -527,6 +529,91 @@ class TestProposeNext:
         cfg = EngineConfig(ga=SMALL_GA, next_pick=bad)
         with pytest.raises(EngineError, match="next_pick returned"):
             propose_next(archive, problem, cfg, np.random.default_rng(4))
+
+
+class TestHyperparameterSchedule:
+    """The evidence search runs at the search sizes; θ is kept in between."""
+
+    @staticmethod
+    def binh_korn_archive(n):
+        problem = binh_korn_problem()
+        rng = np.random.default_rng(3)
+        archive = Archive()
+        for _ in range(n):
+            cand = sample_uniform(problem.space, rng)
+            archive.append(Observation(
+                candidate=cand,
+                objectives=evaluate_candidate(problem, cand),
+                feasible=all_satisfied(problem.constraints, cand),
+                iteration=0,
+                encoded=encode(problem.space, cand),
+            ))
+        return problem, archive
+
+    @staticmethod
+    def warm_models(archive, n_warm, noise):
+        X = archive.encoded_matrix()[:n_warm]
+        targets = archive.objective_matrix()[:n_warm]
+        return tuple(
+            gp_fit(X, targets[:, j], GpHyperParams(np.array([0.3 + 0.1 * j, 0.5]), 1.0 + j, noise))
+            for j in range(targets.shape[1])
+        )
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        searches = []
+        search = surrogate._maximize_evidence
+
+        def spy(bordered, D, start):
+            searches.append((D.shape[1], start))
+            return search(bordered, D, start)
+
+        monkeypatch.setattr(surrogate, "_maximize_evidence", spy)
+        return searches
+
+    def test_search_sizes_below_200(self):
+        sizes = [next_search_size(0)]
+        while (s := next_search_size(sizes[-1])) < 200:
+            sizes.append(s)
+        assert sizes == [
+            *range(1, 21), 22, 24, 26, 28, 30, 33, 36, 39, 42, 46, 50, 55, 60, 66,
+            72, 79, 86, 94, 103, 113, 124, 136, 149, 163, 179, 196,
+        ]
+
+    def test_growth_that_crosses_no_search_size_keeps_theta_at_the_default_noise(
+        self, monkeypatch
+    ):
+        problem, archive = self.binh_korn_archive(25)
+        assert next_search_size(24) > 25
+        warm = self.warm_models(archive, 24, noise=DEFAULT_NOISE + 1e-6)
+        searches = self.count_searches(monkeypatch)
+        cfg = EngineConfig(ga=SMALL_GA)
+        proposal = propose_next(archive, problem, cfg, np.random.default_rng(0), warm=warm)
+        assert searches == []
+        for kept, before in zip(proposal.models, warm):
+            assert len(kept.train_inputs) == 25
+            assert np.array_equal(kept.hyper.length_scales, before.hyper.length_scales)
+            assert kept.hyper.signal_variance == before.hyper.signal_variance
+            assert kept.hyper.noise_variance == DEFAULT_NOISE
+
+    @pytest.mark.parametrize("n_warm, n", [(23, 24), (100, 150)])
+    def test_growth_that_reaches_a_search_size_searches_from_warm(self, monkeypatch, n_warm, n):
+        problem, archive = self.binh_korn_archive(n)
+        warm = self.warm_models(archive, n_warm, noise=DEFAULT_NOISE)
+        searches = self.count_searches(monkeypatch)
+        propose_next(archive, problem, EngineConfig(ga=SMALL_GA), np.random.default_rng(0), warm=warm)
+        assert [size for size, _ in searches] == [n] * len(warm)
+        assert all(start is model.hyper for (_, start), model in zip(searches, warm))
+
+    def test_explore_searches_only_at_the_search_sizes(self, monkeypatch):
+        searches = self.count_searches(monkeypatch)
+        cfg = EngineConfig(n_initial=18, max_iterations=40, delta=1e-12, ga=SMALL_GA, seed=5)
+        archive = explore(binh_korn_problem(), cfg)
+        assert len(archive) == 40
+        sizes = [n for n, _ in searches[::2]]
+        assert sizes == [18, 19, 20, 22, 24, 26, 28, 30, 33, 36, 39]
+        assert [n for n, _ in searches[1::2]] == sizes
+        assert [start is None for _, start in searches] == [True] * 2 + [False] * 20
 
 
 class TestExploit:
