@@ -25,7 +25,6 @@ from .objectives import (
     EvaluationError,
     Evaluator,
     Problem,
-    constraint_indicator,
     soft_factor,
 )
 from .pareto import (
@@ -84,7 +83,6 @@ __all__ = [
     "binh_korn_problem",
     "ca_ei",
     "constr_ex_problem",
-    "constraint_indicator",
     "crowding_distance",
     "decode",
     "dominates",

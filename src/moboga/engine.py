@@ -3,27 +3,29 @@
 Each exploration iteration fits one GP per objective on everything observed so
 far and runs NSGA-II over the (negated) constraint-aware expected-improvement
 vector: one ``ca_ei`` call scores a whole GA population's rows, building a
-candidate only for an unbatched constraint. The first proposal of a run fits its
-GPs cold; every later one passes the previous proposal's models back in. The
-hyperparameters are searched again only once the archive reaches a search size
-(``next_search_size``: every size up to 20, then sizes about 10% apart) above
-the size those models were fitted at; that evidence search starts from the
-models' hyperparameters. In between, each objective keeps its length scales and
-signal variance and is refitted with them fixed: one Cholesky factor instead of
-a search. The non-dominated rows of the final GA population are the informative
-pool: decoded once to candidates, and encoded once as rows. Every point enters
-the archive through one admission rule: a candidate is admitted when it meets
-every hard constraint and sits more than ``DUPLICATE_TOL`` from every point
-already in the archive or admitted before it. The initial design applies it
-too; its given candidates, and the least-violating draws that fill it once its
-draw budget runs out, skip only the hard check. TOPSIS orders the pool
-best-first, and the first admitted member is the one query of the proposal;
-when none is admitted, the first admitted one of up to 1000 uniform draws is.
-The query keeps the encoding it was admitted with: the stop rule measures it
-and the archive stores it. Exploration ends when the query sits within
-``delta`` of something already queried (in encoded space) or when the
-evaluation budget is exhausted. Exploitation extracts the Pareto front of the
-feasible observations and recommends one of them via TOPSIS.
+candidate only for an unbatched constraint. The GA's seed is one draw from the
+run's generator, made before the query is picked. The first proposal of a run
+fits its GPs cold; every later one passes the previous proposal's models back
+in. The hyperparameters are searched again only once the archive reaches a
+search size (``next_search_size``: every size up to 20, then sizes about 10%
+apart) above the size those models were fitted at; that evidence search starts
+from the models' hyperparameters. In between, each objective keeps its length
+scales and signal variance and is refitted with them fixed: one Cholesky factor
+instead of a search. The non-dominated rows of the final GA population are the
+informative pool: decoded once to candidates, and encoded once as rows. Every
+point enters the archive through one admission rule: a candidate is admitted
+when it meets every hard constraint and sits more than ``DUPLICATE_TOL`` from
+every point already in the archive or admitted before it. The initial design
+applies it too; its given candidates, and the least-violating draws that fill
+it once its draw budget runs out, skip only the hard check. TOPSIS orders the
+pool best-first by its raw acquisition values (``topsis_rank`` scales its own
+columns), and the first admitted member is the one query of the proposal; when
+none is admitted, the first admitted one of up to 1000 uniform draws is. The
+query keeps the encoding it was admitted with: the stop rule measures it and
+the archive stores it. Exploration ends when the query sits within ``delta`` of
+something already queried (in encoded space) or when the evaluation budget is
+exhausted. Exploitation extracts the Pareto front of the feasible observations
+and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -31,7 +33,6 @@ TOPSIS. That sign bridge lives here and nowhere else.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
@@ -232,8 +233,7 @@ def propose_next(
     def score_fn(genomes: np.ndarray) -> np.ndarray:
         return -ca_ei(models, y_best, problem.constraints, space, genomes)
 
-    ga_cfg = dataclasses.replace(cfg.ga, seed=int(rng.integers(2**32)))
-    genomes, scores, part = nsga2_run(score_fn, ga_cfg, space)
+    genomes, scores, part = nsga2_run(score_fn, cfg.ga, space, int(rng.integers(2**32)))
     front0 = genomes[part.fronts[0]]
     pm = list(zip(decode(space, front0), -scores[part.fronts[0]]))
     pool_enc = encode(space, front0)
@@ -266,10 +266,7 @@ def _rank_pool(pm: list[tuple[Candidate, np.ndarray]], next_pick: NextPick) -> l
         rest = [i for i in range(len(pm)) if i != idx]
         return [idx] + rest
     acq = np.vstack([vec for _, vec in pm])
-    # closeness is invariant under positive column scaling, and rescaling by
-    # the column maximum keeps near-underflow acquisition values normalizable
-    peak = acq.max(axis=0)
-    result = topsis_rank(acq / np.where(peak > 0, peak, 1.0), (BENEFIT,) * acq.shape[1])
+    result = topsis_rank(acq, (BENEFIT,) * acq.shape[1])
     return [int(i) for i in result.ranking]
 
 

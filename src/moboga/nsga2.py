@@ -8,7 +8,9 @@ mutation runs over all n children. Parents and children are then merged and
 sorted by non-domination; the n survivors are the first n by ascending rank,
 then descending crowding distance, then ascending index, so equal seeds replay
 bit for bit. score_fn scores one population per call, (m, d) -> (m, k), and
-draws nothing from the GA's generator.
+draws nothing from the GA's generator. That generator is seeded by the seed
+argument of nsga2_run; GaConfig holds only the population, generation and
+operator settings.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ class GaConfig:
     mutation_prob: float | None = None  # None -> 1 / encoded_dim
     sbx_eta: float = 15.0
     pm_eta: float = 20.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
@@ -134,12 +135,13 @@ def nsga2_run(
     score_fn: ScoreFn,
     cfg: GaConfig,
     space: SearchSpace,
+    seed: int,
     initial_genomes: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, FrontPartition]:
     """Run the configured number of generations; returns the final parents'
     genomes (n, d), their scores (n, k) and their front partition.
-    Deterministic given cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
+    Deterministic given seed."""
+    rng = np.random.default_rng(seed)
     n = cfg.population_size
     genomes = rng.random((n, space.encoded_dim))
     if initial_genomes is not None:

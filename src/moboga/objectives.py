@@ -81,11 +81,6 @@ def _call(c: ConstraintSpec, fn: Callable, b: Batch, at: np.ndarray, kind: type)
     return out
 
 
-def constraint_indicator(c: ConstraintSpec, x: Candidate) -> int:
-    """1 if the constraint holds at x, else 0."""
-    return int(all_satisfied((c,), x))
-
-
 def soft_factor(c: ConstraintSpec, x: Union[Candidate, Batch], at: Optional[np.ndarray] = None):
     """Acquisition factor: 1 where c holds, else beta (called only there) or 0;
     a float for a candidate, an array over the rows at (default all) of a batch."""

@@ -99,11 +99,6 @@ def _se(D: np.ndarray, length_scales: np.ndarray, signal_variance: float) -> np.
     return s
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, hyper: GpHyperParams) -> np.ndarray:
-    """SE-ARD cross-covariance between rows of a (m, d) and b (n, d)."""
-    return _se(_sq_diffs(a, b), hyper.length_scales, hyper.signal_variance)
-
-
 def _bordered(y_std: np.ndarray) -> np.ndarray:
     """The (n + 1, n + 1) matrix [[K, y], [y^T, c]] whose leading block
     _bordered_factor fills with K + noise I.
@@ -268,7 +263,8 @@ def gp_posterior(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {X.shape[1]} != trained dimension {m.train_inputs.shape[1]}"
         )
-    k = _kernel(m.train_inputs, X, m.hyper)  # (n, q)
+    # the SE-ARD cross-covariance, (n, q)
+    k = _se(_sq_diffs(m.train_inputs, X), m.hyper.length_scales, m.hyper.signal_variance)
     mu_std = k.T @ m.alpha
     v = m.chol_inv @ k
     var = m.hyper.signal_variance - np.sum(v**2, axis=0)

@@ -1,8 +1,9 @@
 """TOPSIS ranking: closeness to the ideal point relative to the anti-ideal.
 
-Columns are vector-normalized, weighted, and compared against the per-column
-best/worst under each criterion's direction; alternatives are scored by
-d_worst / (d_best + d_worst) and ranked descending, ties to the lower index.
+Columns are scaled by a power of two, vector-normalized, weighted, and
+compared against the per-column best/worst under each criterion's direction;
+alternatives are scored by d_worst / (d_best + d_worst) and ranked descending,
+ties to the lower index.
 """
 from __future__ import annotations
 
@@ -43,22 +44,24 @@ def topsis_rank(x, directions, weights=None) -> TopsisResult:
     """Rank the rows of x (alternatives by criteria) best first.
 
     ``directions`` holds COST or BENEFIT per criterion; ``weights``, checked
-    against every criterion, default to equal. Identical rows all score 0.5, in
-    index order. Otherwise a criterion that is zero on every row cannot be
-    normalized and tells no row apart: it is dropped with its weight."""
+    against every criterion, default to equal. A criterion that is zero on every
+    row cannot be normalized and tells no row apart: it is dropped with its
+    weight. Each kept column is scaled by the power of two that brings its
+    largest |x| into [0.5, 1), which changes no closeness but keeps its squares
+    from underflowing or overflowing. Rows that no kept criterion tells apart
+    all score 0.5, in index order."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise TopsisError("matrix must be non-empty and finite")
-    m, n = x.shape
+    n = x.shape[1]
     directions = tuple(directions)
     if len(directions) != n or any(d not in (COST, BENEFIT) for d in directions):
         raise TopsisError(f"directions must be {COST!r} or {BENEFIT!r}, one per criterion")
     w = np.ones(n) if weights is None else check_weights(weights, n)
-    if np.all(x == x[0]):
-        return TopsisResult(np.full(m, 0.5), np.arange(m))
 
     keep = np.any(x != 0.0, axis=0)
     x, w = x[:, keep], w[keep]
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
     v = (x / np.sqrt((x**2).sum(axis=0))) * (w / w.sum())
     benefit = np.array([d == BENEFIT for d in directions])[keep]
     best = np.where(benefit, v.max(axis=0), v.min(axis=0))

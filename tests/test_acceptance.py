@@ -228,8 +228,8 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
     details = []
     for problem in (binh_korn_problem(), constr_ex_problem()):
         score = penalized_score_fn(problem)
-        cfg = GaConfig(population_size=100, generations=50, seed=11)
-        genomes, scores, part = nsga2_run(score, cfg, problem.space)
+        cfg = GaConfig(population_size=100, generations=50)
+        genomes, scores, part = nsga2_run(score, cfg, problem.space, 11)
         front = np.vstack([scores[i] for i in part.fronts[0]])
         oracle = grid_reference_front(problem, 400)
         gd = generational_distance(front, oracle)
@@ -238,7 +238,7 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
         details.append(f"{problem.name} GD {100 * gd / diag:.3f}%")
 
         # equal seeds replay bitwise
-        genomes_b, scores_b, _ = nsga2_run(score, cfg, problem.space)
+        genomes_b, scores_b, _ = nsga2_run(score, cfg, problem.space, 11)
         for a, b in zip(genomes, genomes_b):
             assert np.array_equal(a, b)
         for a, b in zip(scores, scores_b):
@@ -253,8 +253,9 @@ def test_criterion_9_nsga2_on_raw_benchmarks():
 
     _, scores, _ = nsga2_run(
         score_fn,
-        GaConfig(population_size=12, generations=25, seed=5),
+        GaConfig(population_size=12, generations=25),
         space,
+        5,
         initial_genomes=[np.array([0.5])],
     )
     assert any(np.array_equal(s, [1.0, 1.0]) for s in scores)

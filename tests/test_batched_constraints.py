@@ -7,7 +7,6 @@ from moboga.objectives import (
     ConstraintSpec,
     EvaluationError,
     all_satisfied,
-    constraint_indicator,
     soft_factor,
     total_violation,
 )
@@ -111,12 +110,22 @@ def test_array_forms_equal_the_per_candidate_values_row_for_row(name, seed):
         missed = total_violation((c,), rows)
         for i, x in enumerate(cands):
             assert factor[i] == soft_factor(ref, x) == soft_factor(c, x)
-            assert holds[i] == bool(constraint_indicator(ref, x)) == all_satisfied((c,), x)
+            assert holds[i] == all_satisfied((ref,), x) == all_satisfied((c,), x)
             assert missed[i] == total_violation((ref,), x) == total_violation((c,), x)
     assert np.array_equal(all_satisfied(batched, rows),
                           [all_satisfied(SCALAR_SETS[name], x) for x in cands])
     assert np.array_equal(total_violation(batched, rows),
                           [total_violation(SCALAR_SETS[name], x) for x in cands])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_a_batched_predicate_called_on_one_candidate_agrees_with_all_satisfied(name, seed):
+    # a candidate reads like a column map, so a built-in batched predicate can
+    # be called on it directly, as perfbench's hard-violation count does
+    for c in PROBLEMS[name]().constraints:
+        for x in points(name, seed, m=50):
+            assert bool(c.predicate(x)) == all_satisfied((c,), x)
 
 
 def test_boundary_points_hold_where_the_scalar_forms_say():

@@ -387,6 +387,23 @@ class TestFront:
         main(["front", str(record_path), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_header_whose_ga_block_carries_a_seed_still_loads(self, tmp_path):
+        # records written before the GA seed left GaConfig hold "ga": {..., "seed": 0}
+        record_path = self.make_record(tmp_path)
+        lines = record_path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert "seed" not in header["ga"]
+        header["ga"]["seed"] = 0
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        got, want = load_record(str(old)).result, load_record(str(record_path)).result
+        assert got.pof == want.pof and got.best_index == want.best_index
+        assert got.closeness == want.closeness
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["front", str(record_path), "-o", str(a)]) == EXIT_OK
+        assert main(["front", str(old), "-o", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_interrupted_record_is_a_valid_prefix(self, tmp_path):
         record_path = self.make_record(tmp_path)
         lines = record_path.read_text().splitlines(keepends=True)

@@ -443,7 +443,7 @@ class TestProposeNext:
         genomes, scores = np.asarray(genomes, dtype=float), np.asarray(scores, dtype=float)
         part = fast_nondominated_sort(np.zeros((len(genomes), 1)))
         monkeypatch.setattr(
-            engine, "nsga2_run", lambda score_fn, cfg, space: (genomes, scores, part)
+            engine, "nsga2_run", lambda score_fn, cfg, space, seed: (genomes, scores, part)
         )
 
     def test_pool_on_archived_points_falls_back_to_a_fresh_hard_feasible_draw(self, monkeypatch):
@@ -659,6 +659,15 @@ class TestExploit:
             [(0.1, [1.0, 9.5]), (0.3, [5.0, 5.0]), (0.5, [9.5, 1.0])],
         )
         assert exploit(archive).best_index == 1
+
+    def test_an_objective_in_tiny_units_keeps_the_recommendation(self):
+        # the first objective's squares underflow to 0 at this scale
+        space = space_1d()
+        front = [(0.1, [1.0, 9.5]), (0.3, [5.0, 5.0]), (0.5, [9.5, 1.0])]
+        tiny = [(x, [q[0] * 1e-170, q[1]]) for x, q in front]
+        best = exploit(archive_of(space, front)).best_index
+        assert best == 1
+        assert exploit(archive_of(space, tiny)).best_index == best
 
     def test_infeasible_observations_do_not_reach_the_front(self):
         space = space_1d()

@@ -199,22 +199,22 @@ class TestSurvival:
 
 class TestRun:
     def test_single_objective_parabola_converges(self):
-        cfg = GaConfig(population_size=40, generations=50, seed=0)
-        genomes, scores, part = nsga2_run(lambda g: (g[:, :1] - 0.5) ** 2, cfg, space_1d())
+        cfg = GaConfig(population_size=40, generations=50)
+        genomes, scores, part = nsga2_run(lambda g: (g[:, :1] - 0.5) ** 2, cfg, space_1d(), 0)
         best = np.argmin(scores[:, 0])
         assert abs(genomes[best, 0] - 0.5) < 0.02
 
     def test_population_size_constant_after_survival(self):
-        cfg = GaConfig(population_size=20, generations=5, seed=1)
-        genomes, scores, _ = nsga2_run(two_sided, cfg, space_1d())
+        cfg = GaConfig(population_size=20, generations=5)
+        genomes, scores, _ = nsga2_run(two_sided, cfg, space_1d(), 1)
         assert len(genomes) == 20
         assert len(scores) == 20
 
     def test_equal_seeds_replay_bitwise(self):
-        cfg = GaConfig(population_size=16, generations=8, seed=9)
+        cfg = GaConfig(population_size=16, generations=8)
         score = lambda g: np.column_stack([g[:, 0] ** 2 + g[:, 1], (1 - g[:, 0]) ** 2])
-        genomes_a, scores_a, _ = nsga2_run(score, cfg, space_2d())
-        genomes_b, scores_b, _ = nsga2_run(score, cfg, space_2d())
+        genomes_a, scores_a, _ = nsga2_run(score, cfg, space_2d(), 9)
+        genomes_b, scores_b, _ = nsga2_run(score, cfg, space_2d(), 9)
         for a, b in zip(genomes_a, genomes_b):
             assert np.array_equal(a, b)
         for a, b in zip(scores_a, scores_b):
@@ -226,22 +226,22 @@ class TestRun:
             d = np.abs(g[:, :1] - 0.5)
             return np.hstack([1.0 + d, 1.0 + d])
 
-        cfg = GaConfig(population_size=12, generations=20, seed=4)
+        cfg = GaConfig(population_size=12, generations=20)
         genomes, scores, part = nsga2_run(
-            score, cfg, space_1d(), initial_genomes=[np.array([0.5])]
+            score, cfg, space_1d(), 4, initial_genomes=[np.array([0.5])]
         )
         assert any(s[0] == 1.0 and s[1] == 1.0 for s in scores)
         first_front_scores = [scores[i] for i in part.fronts[0]]
         assert all(s[0] == 1.0 for s in first_front_scores)
 
     def test_non_finite_scores_abort_with_diagnostic(self):
-        cfg = GaConfig(population_size=4, generations=1, seed=0)
+        cfg = GaConfig(population_size=4, generations=1)
         with pytest.raises(ValueError, match="non-finite"):
-            nsga2_run(lambda g: np.full((len(g), 1), np.nan), cfg, space_1d())
+            nsga2_run(lambda g: np.full((len(g), 1), np.nan), cfg, space_1d(), 0)
 
     def test_final_partition_is_consistent_with_population(self):
-        cfg = GaConfig(population_size=16, generations=6, seed=2)
-        genomes, scores, part = nsga2_run(two_sided, cfg, space_2d())
+        cfg = GaConfig(population_size=16, generations=6)
+        genomes, scores, part = nsga2_run(two_sided, cfg, space_2d(), 2)
         assert sorted(i for front in part.fronts for i in front) == list(range(16))
         for rank in part.rank:
             assert rank >= 1
@@ -270,6 +270,6 @@ class TestScore:
             calls.append(g.shape)
             return two_sided(g)
 
-        cfg = GaConfig(population_size=10, generations=7, seed=3)
-        nsga2_run(score, cfg, space_2d())
+        cfg = GaConfig(population_size=10, generations=7)
+        nsga2_run(score, cfg, space_2d(), 3)
         assert calls == [(10, 2)] * (cfg.generations + 1)

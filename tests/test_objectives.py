@@ -7,7 +7,6 @@ from moboga.objectives import (
     EvaluationError,
     Problem,
     all_satisfied,
-    constraint_indicator,
     evaluate_candidate,
     soft_factor,
     total_violation,
@@ -30,19 +29,19 @@ def soft(beta_value):
 class TestIndicator:
     def test_binh_korn_c1_inside_disc(self):
         c = ConstraintSpec("c1", lambda c: (c["x"] - 5) ** 2 + c["y"] ** 2 <= 25)
-        assert constraint_indicator(c, cand(5.0, 0.0)) == 1
+        assert all_satisfied((c,), cand(5.0, 0.0)) == 1
 
     def test_binh_korn_c2_at_center_is_violated(self):
         c = ConstraintSpec("c2", lambda c: (c["x"] - 8) ** 2 + (c["y"] + 3) ** 2 >= 7.7)
-        assert constraint_indicator(c, cand(8.0, -3.0)) == 0
+        assert all_satisfied((c,), cand(8.0, -3.0)) == 0
 
     def test_always_true_predicate(self):
-        assert constraint_indicator(always_true, cand(123.0)) == 1
+        assert all_satisfied((always_true,), cand(123.0)) == 1
 
     def test_throwing_predicate_names_the_constraint(self):
         bad = ConstraintSpec("memcheck", predicate=lambda c: 1 / 0)
         with pytest.raises(EvaluationError, match="memcheck"):
-            constraint_indicator(bad, cand(0.0))
+            all_satisfied((bad,), cand(0.0))
 
 
 class TestSoftFactor:
@@ -66,7 +65,7 @@ class TestSoftFactor:
         soft0 = ConstraintSpec("s", predicate=lambda c: c["x"] > 0, beta=lambda c: 0.0)
         for x in (-1.0, 0.0, 2.0):
             assert soft_factor(hard, cand(x)) == soft_factor(soft0, cand(x))
-            assert soft_factor(hard, cand(x)) == constraint_indicator(hard, cand(x))
+            assert soft_factor(hard, cand(x)) == all_satisfied((hard,), cand(x))
 
 
 class TestTotalViolation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moboga.objectives import Batch, constraint_indicator, all_satisfied, total_violation
+from moboga.objectives import Batch, all_satisfied, total_violation
 from moboga.pareto import dominates
 from moboga.problems import (
     BenchmarkConfigError,
@@ -90,9 +90,9 @@ class TestSinusoid:
     def test_hard_band_is_infeasible(self):
         p = sinusoid_problem()
         hard = p.constraints[0]
-        assert constraint_indicator(hard, Candidate({"x": 0.4})) == 0
-        assert constraint_indicator(hard, Candidate({"x": 0.1})) == 1
-        assert constraint_indicator(hard, Candidate({"x": 0.7})) == 1
+        assert all_satisfied((hard,), Candidate({"x": 0.4})) == 0
+        assert all_satisfied((hard,), Candidate({"x": 0.1})) == 1
+        assert all_satisfied((hard,), Candidate({"x": 0.7})) == 1
 
     def test_soft_tail_penalty_is_clamped_below_one(self):
         # raw 1/(x-0.6)^4 exceeds 1 for every x in (0.6, 1.2]
@@ -105,7 +105,7 @@ class TestSinusoid:
         p = sinusoid_problem()
         soft = p.constraints[1]
         assert not soft.is_hard
-        assert constraint_indicator(soft, Candidate({"x": 0.9})) == 0
+        assert all_satisfied((soft,), Candidate({"x": 0.9})) == 0
 
 
 class TestGridFront:

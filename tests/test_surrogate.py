@@ -10,10 +10,16 @@ from moboga.surrogate import (
     GpModel,
     _bordered,
     _bordered_factor,
-    _kernel,
+    _se,
+    _sq_diffs,
     gp_fit,
     gp_posterior,
 )
+
+
+def _kernel(a, b, hyper):
+    """SE-ARD cross-covariance between rows of a (m, d) and b (n, d)."""
+    return _se(_sq_diffs(a, b), hyper.length_scales, hyper.signal_variance)
 
 
 def oracle_posterior(X, y, hyper, x_star):

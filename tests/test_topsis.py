@@ -85,6 +85,16 @@ class TestRank:
         assert res.closeness.tolist() == [0.5] * 4
         assert res.ranking.tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("factor", [1e-170, 1e160], ids=["underflow", "overflow"])
+    def test_a_column_scaled_past_the_float_range_of_its_squares_ranks_the_same(self, factor):
+        # squares of 1e-170 underflow to 0 and squares of 1e160 overflow to inf
+        x = np.array([[1.0, 4.0], [2.0, 1.0], [4.0, 2.0]])
+        scaled = x * [factor, 1.0]
+        base = topsis_rank(x, (COST, COST))
+        res = topsis_rank(scaled, (COST, COST))
+        assert res.ranking.tolist() == base.ranking.tolist()
+        assert res.closeness == pytest.approx(base.closeness, rel=1e-12)
+
     def test_weights_must_be_positive(self):
         with pytest.raises(TopsisError, match="weights"):
             topsis_rank([[1.0]], (COST,), np.array([0.0]))
