@@ -3,26 +3,29 @@
 One model per objective. Kernel is squared-exponential with per-dimension
 length scales; targets are centered and scaled before fitting and predictions
 are mapped back on output, so fixed hyperparameters refer to the standardized
-target scale. Every kernel entry is formed from the per-dimension squared
-differences of its two points, so an entry does not depend on which other
+target scale. A kernel block comes from ``D``, the squared differences of its
+two sets of points, laid out C-contiguous as (d, m, n): one multiply by the
+weights -1/(2 l_i^2) and one sum over the first axis. On that layout numpy adds
+the d slices into each entry in order 0..d-1 (on a strided ``D`` it would sum
+pairwise), so each entry is the same dimension-by-dimension sum whichever other
 rows share the call.
 
 Hyperparameters are chosen by maximizing the log marginal likelihood with a
 seeded multi-start coordinate pattern search (archive sizes stay small enough
-that exact solves are cheap). A fit builds the squared differences ``D`` of
-the training inputs and one bordered matrix ``[[K + s2 I, y], [y^T, c]]``
-once; each probe then forms the kernel from ``D``, copies it into the leading
-block and takes the evidence from one Cholesky factor of that matrix (GPML
-§2.2, Alg. 2.1). The factor's leading block is the factor ``L`` of
-``K + s2 I`` and its last row is ``z = L^-1 y``, so ``y^T (K + s2 I)^-1 y =
-z.z`` needs no triangular solve. The fitted model's ``log_evidence`` comes
-from the same helper, so it is the value the search maximized. A fit given
-``start``, the hyperparameters of an earlier fit on a smaller archive, seeds
-the search from them, adds a few fresh draws and starts with a smaller step.
-A fit given fixed ``hyper`` runs no search: it forms the kernel once and takes
-one factor, escalating jitter only if that factor fails. The engine fits this
-way between hyperparameter searches, keeping the length scales and signal
-variance of the previous proposal's model at the default noise.
+that exact solves are cheap). A fit builds ``D`` of the training inputs and one
+bordered matrix ``[[K + s2 I, y], [y^T, c]]`` once, a search also one workspace
+the size of ``D`` (d n^2 floats: 410 KB at n = 160, d = 2); each probe weights
+``D`` into the workspace, copies the kernel into the leading block and takes
+the evidence from one Cholesky factor (GPML §2.2, Alg. 2.1). The factor's
+leading block is the factor ``L`` of ``K + s2 I`` and its last row is ``z =
+L^-1 y``, so ``y^T (K + s2 I)^-1 y = z.z`` needs no triangular solve. The
+fitted model's ``log_evidence`` comes from the same helper, so it is the value
+the search maximized. A fit given ``start``, the hyperparameters of an earlier
+fit on a smaller archive, seeds the search from them, adds a few fresh draws
+and starts with a smaller step. A fit given fixed ``hyper`` runs no search: it
+forms the kernel once and takes one factor, escalating jitter only if it fails.
+The engine fits this way between hyperparameter searches, keeping the previous
+proposal's length scales and signal variance at the default noise.
 
 The model keeps ``L^-1``, formed once per fit, so the posterior over a matrix
 of test inputs (GPML Alg. 2.1) is one kernel block and one matrix product
@@ -84,16 +87,16 @@ class GpModel:
 
 
 def _sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences (d, m, n) between rows of a (m, d) and b (n, d)."""
-    return (a.T[:, :, None] - b.T[:, None, :]) ** 2
+    """C-contiguous squared differences (d, m, n) between rows of a (m, d) and b (n, d)."""
+    D = np.subtract(a.T[:, :, None], b.T[:, None, :], order="C")
+    return np.square(D, out=D)
 
 
-def _se(D: np.ndarray, length_scales: np.ndarray, signal_variance: float) -> np.ndarray:
-    """SE-ARD kernel sv * exp(-1/2 sum_i D_i / l_i^2) from squared differences D."""
-    w = -0.5 / length_scales**2
-    s = D[0] * w[0]
-    for Di, wi in zip(D[1:], w[1:]):
-        s += Di * wi
+def _se(
+    D: np.ndarray, length_scales: np.ndarray, signal_variance: float, buf: np.ndarray | None = None
+) -> np.ndarray:
+    """SE-ARD kernel sv * exp(-1/2 sum_i D_i / l_i^2); ``buf``, shaped like D, holds the terms."""
+    s = np.add.reduce(np.multiply(D, (-0.5 / length_scales**2)[:, None, None], out=buf), axis=0)
     np.exp(s, out=s)
     s *= signal_variance
     return s
@@ -126,7 +129,7 @@ def _bordered_factor(
     """
     n = len(gram)
     bordered[:n, :n] = gram
-    bordered.flat[: n * (n + 2) : n + 2] += noise
+    bordered.reshape(-1)[: n * (n + 2) : n + 2] += noise
     F = np.linalg.cholesky(bordered)
     L, z = F[:n, :n], F[n, :n]
     return L, z, float(-0.5 * (z @ z) - np.log(F.diagonal()[:n]).sum() - n * _HALF_LOG_2PI)
@@ -145,7 +148,7 @@ def _chol_with_jitter(
             jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CEIL:
                 n = len(gram)
-                gram.flat[:: n + 1] += noise
+                gram.reshape(-1)[:: n + 1] += noise
                 cond = float(np.linalg.cond(gram))
                 raise GpNumericalError(
                     f"Cholesky failed after jitter escalation to {JITTER_CEIL} "
@@ -160,9 +163,10 @@ def _maximize_evidence(
 ) -> GpHyperParams:
     d = D.shape[0]
     rng = np.random.default_rng(0)
+    buf = np.empty_like(D)
 
     def objective(theta: np.ndarray) -> float:
-        gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])))
+        gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])), buf)
         try:
             return _bordered_factor(bordered, gram, DEFAULT_NOISE)[2]
         except np.linalg.LinAlgError:
@@ -243,7 +247,7 @@ def gp_fit(
     if hyper is None:
         hyper = _maximize_evidence(bordered, D, start)
 
-    gram = _se(D, hyper.length_scales, hyper.signal_variance)
+    gram = _se(D, hyper.length_scales, hyper.signal_variance, D)  # D's last use: weight in place
     L, z, ev, jitter = _chol_with_jitter(bordered, gram, hyper.noise_variance)
     if jitter > 0.0:
         hyper = GpHyperParams(

@@ -1,15 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from moboga import surrogate
 from moboga.surrogate import (
     DEFAULT_NOISE,
     GpHyperParams,
     GpModel,
+    GpNumericalError,
     _bordered,
     _bordered_factor,
+    _chol_with_jitter,
     _se,
     _sq_diffs,
     gp_fit,
@@ -214,6 +218,64 @@ class TestPosterior:
         m = gp_fit([[0.5, 0.5]], [1.0], fixed([0.3, 0.3]))
         with pytest.raises(ValueError):
             gp_posterior(m, [0.5])
+
+
+def _se_by_dimension(D, length_scales, signal_variance, buf=None):
+    """The kernel summed one dimension at a time, in order: the bit-level reference."""
+    w = -0.5 / length_scales**2
+    s = D[0] * w[0]
+    for Di, wi in zip(D[1:], w[1:]):
+        s += Di * wi
+    np.exp(s, out=s)
+    s *= signal_variance
+    return s
+
+
+class TestKernelLayout:
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 1), (13, 13), (13, 40), (150, 150)])
+    def test_squared_differences_are_c_contiguous_and_exact(self, m, n):
+        rng = np.random.default_rng(m * n)
+        a, b = rng.random((m, 12)), rng.random((n, 12))
+        D = _sq_diffs(a, b)
+        assert D.flags.c_contiguous
+        assert D.shape == (12, m, n)
+        assert np.array_equal(D, (a.T[:, :, None] - b.T[:, None, :]) ** 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 12])
+    @pytest.mark.parametrize("q", [None, 1, 40])
+    def test_kernel_equals_the_dimension_by_dimension_sum_bit_for_bit(self, d, q):
+        # q None is the square training block of a fit; q rows are a posterior block
+        rng = np.random.default_rng(10 * d + (q or 0))
+        X = rng.random((13, d))
+        D = _sq_diffs(X, X if q is None else rng.random((q, d)))
+        for log_ls in (np.full(d, -4.0), np.full(d, 4.0), rng.uniform(-4, 4, d)):
+            ls, sv = np.exp(log_ls), float(np.exp(rng.uniform(-2, 2)))
+            want = _se_by_dimension(D, ls, sv)
+            assert np.array_equal(_se(D, ls, sv), want)
+            assert np.array_equal(_se(D, ls, sv, np.empty_like(D)), want)
+
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_fit_matches_the_dimension_by_dimension_kernel_bit_for_bit(self, d, monkeypatch):
+        X, y = warm_data(seed=d, n=13, d=d)
+        cold = gp_fit(X[:-1], y[:-1])
+        fits = [cold, gp_fit(X, y, start=cold.hyper)]
+        monkeypatch.setattr(surrogate, "_se", _se_by_dimension)
+        refs = [gp_fit(X[:-1], y[:-1]), gp_fit(X, y, start=cold.hyper)]
+        for fit, ref in zip(fits, refs):
+            assert np.array_equal(fit.hyper.length_scales, ref.hyper.length_scales)
+            assert fit.hyper.signal_variance == ref.hyper.signal_variance
+            assert fit.log_evidence == ref.log_evidence
+
+    def test_failed_escalation_reports_the_condition_of_gram_plus_noise(self, monkeypatch):
+        def never(bordered, gram, noise):
+            raise np.linalg.LinAlgError
+
+        X = np.random.default_rng(3).random((6, 2))
+        gram = _kernel(X, X, fixed([0.3, 0.4]))
+        cond = np.linalg.cond(gram + 1e-3 * np.eye(6))
+        monkeypatch.setattr(surrogate, "_bordered_factor", never)
+        with pytest.raises(GpNumericalError, match=re.escape(f"condition number ~{cond:.3e}")):
+            _chol_with_jitter(_bordered(np.zeros(6)), gram, 1e-3)
 
 
 # the drifted theta of a seed-7, 58-evaluation binh-korn explore
