@@ -22,14 +22,17 @@ Each side runs, one process at a time and with one BLAS thread:
   most ``CUT_OBSERVATIONS`` observations with no result line, so that ``front``
   recomputes the result as it does for an interrupted run
 * ``moboga verify --all``
+* ``scripts/hv_control.py``, the engine-against-random-search table, when
+  both sides have the script (a side without it is skipped)
 
 The run records are compared document by document without their wall-clock
 fields (``timestamp``, ``started_at``, ``finished_at``), and each study's
 ``metrics.json`` without ``elapsed_seconds``. The ``front`` CSVs, every
 ``verify_*/*.csv``, the stdout of each ``run`` (without its "run record
-written to" line, which names a path) and the stdout of ``verify --all``
-(without its ``elapsed_seconds:`` lines) are compared line by line. Every
-difference is printed, and the exit status is 1 if there is any, 0 otherwise.
+written to" line, which names a path), the stdout of ``verify --all``
+(without its ``elapsed_seconds:`` lines) and the ``hv_control.py`` table are
+compared line by line. Every difference is printed, and the exit status is 1
+if there is any, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -74,21 +77,25 @@ CONFIGS = {
 }
 CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
 CUT_OBSERVATIONS = 9
+HV_CONTROL = "scripts/hv_control.py"
 
 
-def _moboga(checkout: Path, args: list[str]) -> str:
-    """The stdout of ``moboga args`` run on checkout; RuntimeError if it fails."""
+def _python(checkout: Path, args: list[str]) -> str:
+    """The stdout of ``python args`` run on checkout; RuntimeError if it fails."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     env.pop("MOBOGA_SEED", None)
     done = subprocess.run(
-        [sys.executable, "-m", "moboga", *args], cwd=checkout, env=env,
-        capture_output=True, text=True,
+        [sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
         raise RuntimeError(
-            f"{checkout}: moboga {' '.join(args)} exited {done.returncode}\n{done.stderr[-2000:]}"
+            f"{checkout}: python {' '.join(args)} exited {done.returncode}\n{done.stderr[-2000:]}"
         )
     return done.stdout
+
+
+def _moboga(checkout: Path, args: list[str]) -> str:
+    return _python(checkout, ["-m", "moboga", *args])
 
 
 def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list]:
@@ -113,6 +120,8 @@ def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str,
         docs[f"verify {metrics.parent.name}"] = [json.loads(metrics.read_text())]
     for table in sorted(out.glob("verify_*/*.csv")):
         docs[f"verify {table.parent.name}/{table.name}"] = table.read_text().splitlines()
+    if (checkout / HV_CONTROL).exists():
+        docs["hv_control"] = _python(checkout, [HV_CONTROL]).splitlines()
     return {
         key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} if isinstance(d, dict) else d
               for d in ds]
@@ -157,6 +166,10 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir()
             outputs[side] = _outputs(checkout, out, runs)
 
+    if outputs["parent"].keys() ^ outputs["change"].keys() == {"hv_control"}:
+        print(f"{HV_CONTROL} is on one side only; its table is not compared")
+        for docs in outputs.values():
+            docs.pop("hv_control", None)
     found = _differences(outputs["parent"], outputs["change"])
     for line in found:
         print(line)

@@ -5,6 +5,8 @@ improvement; NSGA-II searches the acquisition vector for the next query;
 the measured Pareto front is extracted from the archive and TOPSIS recommends
 a single best candidate.
 """
+from types import ModuleType as _ModuleType
+
 from .acquisition import ca_ei, expected_improvement
 from .engine import (
     Archive,
@@ -58,51 +60,6 @@ from .topsis import TopsisResult, topsis_rank
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Archive",
-    "BUILTIN_PROBLEMS",
-    "Candidate",
-    "CategoricalParam",
-    "ConstraintSpec",
-    "ContinuousParam",
-    "DiscreteParam",
-    "EngineConfig",
-    "EngineError",
-    "EvaluationError",
-    "Evaluator",
-    "GaConfig",
-    "GpHyperParams",
-    "GpModel",
-    "NoFeasibleResultError",
-    "Observation",
-    "Problem",
-    "RunResult",
-    "SearchSpace",
-    "TopsisResult",
-    "ValidationError",
-    "binh_korn_problem",
-    "ca_ei",
-    "constr_ex_problem",
-    "crowding_distance",
-    "decode",
-    "dominates",
-    "encode",
-    "expected_improvement",
-    "exploit",
-    "explore",
-    "fast_nondominated_sort",
-    "generational_distance",
-    "get_problem",
-    "gp_fit",
-    "gp_posterior",
-    "grid_reference_front",
-    "nsga2_run",
-    "pareto_front",
-    "propose_next",
-    "run",
-    "sample_uniform",
-    "sinusoid_problem",
-    "soft_factor",
-    "stop_check",
-    "topsis_rank",
-]
+# every public name the imports above bind; the submodules they load are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -19,6 +19,7 @@ from typing import IO, Any, Iterable, Optional, Sequence
 import numpy as np
 
 from .engine import (
+    DUPLICATE_TOL,
     EngineConfig,
     EngineError,
     NoFeasibleResultError,
@@ -344,16 +345,19 @@ def _sinusoid_checks(problem: Problem, result: RunResult) -> tuple[bool, dict, d
     """No query in the hard band, one in the soft tail, and the best feasible
     query in the oracle's basin."""
     observations = result.archive.observations
-    xs = np.array([obs.candidate["x"] for obs in observations])
-    qs = result.archive.objective_matrix()[:, 0]
-    in_hard_band = int(np.sum((xs >= 0.2) & (xs <= 0.6)))
-    in_soft_tail = int(np.sum(xs > 0.6))
+    (param,) = problem.space.params
+    queries = Batch.of([obs.candidate for obs in observations])
+    xs, qs = queries.columns[param.name], result.archive.objective_matrix()[:, 0]
+    soft = [c for c in problem.constraints if not c.is_hard]
+    in_hard_band = int(np.count_nonzero(~all_satisfied(problem.hard_constraints, queries)))
+    in_soft_tail = int(np.count_nonzero(~all_satisfied(soft, queries)))
     feasible_q = [float(q) for q, obs in zip(qs, observations) if obs.feasible]
     best_q = min(feasible_q) if feasible_q else float("inf")
 
-    grid = np.linspace(0.0, 1.2, 10_000)
-    feasible_mask = (grid < 0.2)  # hard band and soft tail both excluded
-    oracle_min = float(sinusoid_1d(grid[feasible_mask]).min())
+    grid = np.linspace(param.lo, param.hi, 10_000)
+    on_grid = Batch(grid.size, lambda: {param.name: grid},
+                    lambda: [Candidate({param.name: x}) for x in grid.tolist()])
+    oracle_min = float(sinusoid_1d(grid[all_satisfied(problem.constraints, on_grid)]).min())
     basin_bound = float(sinusoid_1d(0.08))
 
     metrics = {
@@ -376,23 +380,25 @@ def _sinusoid_checks(problem: Problem, result: RunResult) -> tuple[bool, dict, d
     return passed, metrics, csvs
 
 
-# each study's seed, initial-design size, total budget (initial design
-# included), given initial candidates and checks: the front studies run 8
-# initial + 50 exploration evaluations, sinusoid-1d its seed point + 15
+# each study's engine config, given initial candidates and checks. delta sits at
+# the duplicate-detection floor, so the budget (initial design included) does the
+# stopping: the front studies run 8 initial + 50 exploration evaluations,
+# sinusoid-1d its seed point + 15
+def _study(seed: int, n_initial: int, budget: int) -> EngineConfig:
+    return EngineConfig(n_initial=n_initial, max_iterations=budget, delta=DUPLICATE_TOL, seed=seed)
+
+
 _STUDIES = {
-    "binh-korn": (7, 8, 58, (), _front_checks),
-    "constr-ex": (7, 8, 58, (), _front_checks),
-    "sinusoid-1d": (3, 1, 16, (Candidate({"x": 0.1}),), _sinusoid_checks),
+    "binh-korn": (_study(7, 8, 58), (), _front_checks),
+    "constr-ex": (_study(7, 8, 58), (), _front_checks),
+    "sinusoid-1d": (_study(3, 1, 16), (Candidate({"x": 0.1}),), _sinusoid_checks),
 }
 
 
 def _verify_study(name: str, out_dir: str) -> tuple[bool, dict[str, Any]]:
     """Run one study, time it and write the CSVs its checks return."""
-    seed, n_initial, budget, given, checks = _STUDIES[name]
+    cfg, given, checks = _STUDIES[name]
     problem = get_problem(name)
-    # each study runs a fixed exploration, so delta sits at the
-    # duplicate-detection floor and the budget does the stopping
-    cfg = EngineConfig(n_initial=n_initial, max_iterations=budget, delta=1e-12, seed=seed)
     started = time.perf_counter()
     result = run_engine(problem, cfg, initial_candidates=given)
     elapsed = time.perf_counter() - started
@@ -401,7 +407,7 @@ def _verify_study(name: str, out_dir: str) -> tuple[bool, dict[str, Any]]:
     for filename, (header, rows) in csvs.items():
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, header, ([repr(float(v)) for v in row] for row in rows))
-    metrics = {"benchmark": name, "seed": seed, "evaluations": len(result.archive),
+    metrics = {"benchmark": name, "seed": cfg.seed, "evaluations": len(result.archive),
                **checked, "elapsed_seconds": elapsed}
     return passed, metrics
 

@@ -22,10 +22,12 @@ pool best-first by its raw acquisition values (``topsis_rank`` scales its own
 columns), and the first admitted member is the one query of the proposal; when
 none is admitted, the first admitted one of up to 1000 uniform draws is. The
 query keeps the encoding it was admitted with: the stop rule measures it and
-the archive stores it. Exploration ends when the query sits within ``delta`` of
-something already queried (in encoded space) or when the evaluation budget is
-exhausted. Exploitation extracts the Pareto front of the feasible observations
-and recommends one of them via TOPSIS.
+the archive stores it. ``explore`` asks, evaluates and records every query in
+one loop, the initial design's members first; each pick is made once the query
+before it is archived, or dropped if its evaluation failed. Exploration ends
+when the query sits within ``delta`` of something already queried (in encoded
+space) or when the evaluation budget is exhausted. Exploitation extracts the
+Pareto front of the feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -330,40 +332,34 @@ def explore(
     rng = np.random.default_rng(cfg.seed)
     archive = Archive()
 
-    def record(cand: Candidate, iteration: int, encoded: np.ndarray) -> bool:
+    def queries() -> Iterator[tuple[Candidate, np.ndarray, int]]:
+        """The initial design at iteration 0, then one pick per proposal."""
+        yield from ((c, e, 0) for c, e in _initial_design(problem, cfg, rng, initial_candidates))
+        if len(archive) == 0:
+            raise EngineError("every initial candidate failed evaluation")
+        iteration = 0
+        warm: tuple[GpModel, ...] | None = None  # the first proposal fits cold
+        while len(archive) < cfg.max_iterations:
+            iteration += 1
+            proposal = propose_next(archive, problem, cfg, rng, warm=warm)
+            warm, (cand, enc) = proposal.models, proposal.picked
+            if stop_check(archive, enc, cfg.delta):
+                archive.stop_reason = STOP_THRESHOLD
+                return
+            yield cand, enc, iteration
+
+    failures = 0  # failed proposals in a row
+    for cand, enc, iteration in queries():
         try:
             q = evaluate_candidate(problem, cand)
-        except EvaluationError:
-            return False  # invalid candidate: excluded rather than archived
-        obs = Observation(
-            candidate=cand,
-            objectives=q,
-            feasible=all_satisfied(problem.constraints, cand),
-            iteration=iteration,
-            encoded=encoded,
-        )
-        archive.append(obs)
-        if on_observation is not None:
-            on_observation(obs)
-        return True
-
-    for cand, enc in _initial_design(problem, cfg, rng, initial_candidates):
-        record(cand, 0, enc)
-    if len(archive) == 0:
-        raise EngineError("every initial candidate failed evaluation")
-
-    iteration = 0
-    failures = 0  # failed proposals in a row
-    warm: tuple[GpModel, ...] | None = None  # the first proposal fits cold
-    while len(archive) < cfg.max_iterations:
-        iteration += 1
-        proposal = propose_next(archive, problem, cfg, rng, warm=warm)
-        warm = proposal.models
-        cand, enc = proposal.picked
-        if stop_check(archive, enc, cfg.delta):
-            archive.stop_reason = STOP_THRESHOLD
-            break
-        failures = 0 if record(cand, iteration, enc) else failures + 1
+        except EvaluationError:  # invalid candidate: excluded rather than archived
+            failures += iteration > 0  # a failed initial design member is only dropped
+        else:
+            failures = 0
+            obs = Observation(cand, q, all_satisfied(problem.constraints, cand), iteration, enc)
+            archive.append(obs)
+            if on_observation is not None:
+                on_observation(obs)
         if failures > 10:
             raise EngineError("too many consecutive evaluation failures")
     return archive

@@ -82,6 +82,9 @@ class RunRecordWriter:
         weights: Sequence[float] | None,
     ) -> None:
         self._fh = fh
+        engine = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "ga"}
+        if not isinstance(cfg.next_pick, str):
+            engine["next_pick"] = "custom"
         header = {
             "kind": "header",
             "format_version": FORMAT_VERSION,
@@ -89,13 +92,7 @@ class RunRecordWriter:
             "space": space_to_json(space),
             "objective_names": list(objective_names),
             "constraint_names": list(constraint_names),
-            "engine": {
-                "n_initial": cfg.n_initial,
-                "max_iterations": cfg.max_iterations,
-                "delta": cfg.delta,
-                "next_pick": cfg.next_pick if isinstance(cfg.next_pick, str) else "custom",
-                "seed": cfg.seed,
-            },
+            "engine": engine,
             "ga": dataclasses.asdict(cfg.ga),
             "weights": list(weights) if weights is not None else None,
             "started_at": _now(),

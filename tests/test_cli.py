@@ -1,7 +1,11 @@
+import argparse
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from moboga.record import RunRecordWriter, load_record
 from moboga.space import CategoricalParam, ContinuousParam, DiscreteParam, SearchSpace
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 X_PARAM = "[param.x]\ntype = continuous\nlo = 0.1\nhi = 1\n\n"
 CATEGORICAL_Y = "[param.y]\ntype = categorical\nlabels = low, high\n"
 
@@ -656,6 +661,16 @@ class TestVerify:
             if count is not None:
                 assert len(lines) - 1 == (metrics[count] if isinstance(count, str) else count)
 
+    @pytest.mark.parametrize("name", ["binh-korn", "constr-ex"])
+    def test_the_canonical_config_is_the_study_it_stands_for(self, monkeypatch, name):
+        """configs/<name>.ini builds the engine config that ``verify <name>`` runs."""
+        import moboga.cli as cli
+
+        monkeypatch.delenv("MOBOGA_SEED", raising=False)
+        path = CONFIGS / f"{name.replace('-', '_')}.ini"
+        cfg = cli._build_engine_config(load_config(str(path)), argparse.Namespace())
+        assert cfg == cli._STUDIES[name][0]
+
     def test_problems_lists_builtins(self, capsys):
         assert main(["problems"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -664,6 +679,20 @@ class TestVerify:
 
 
 class TestRecordRoundTrip:
+    @pytest.mark.parametrize("next_pick", ["topsis", lambda pm: 0], ids=["topsis", "callable"])
+    def test_header_holds_every_engine_field_and_a_callable_pick_as_custom(self, next_pick):
+        cfg = EngineConfig(n_initial=3, max_iterations=9, delta=0.5, next_pick=next_pick, seed=4)
+        fh = io.StringIO()
+        problem = binh_korn_problem()
+        RunRecordWriter(fh, problem_name=problem.name, space=problem.space,
+                        objective_names=problem.objective_names, constraint_names=[],
+                        cfg=cfg, weights=None)
+        header = json.loads(fh.getvalue())
+        assert header["engine"] == {"n_initial": 3, "max_iterations": 9, "delta": 0.5,
+                                    "next_pick": "topsis" if next_pick == "topsis" else "custom",
+                                    "seed": 4}
+        assert list(header["engine"]) == [f.name for f in dataclasses.fields(cfg) if f.name != "ga"]
+
     def test_exploit_is_rerunnable_from_the_record_alone(self, tmp_path):
         problem = binh_korn_problem()
         cfg = EngineConfig(
@@ -754,6 +783,16 @@ def test_custom_problem_example_prints_a_front():
     done = run_python(str(script), "--budget", "10")
     assert done.returncode == 0, done.stderr
     assert "front:" in done.stdout.splitlines()
+
+
+def test_all_is_every_public_name_of_the_package_and_no_module():
+    public = {name for name, value in vars(moboga).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public) == moboga.__all__
+    assert len(moboga.__all__) == 46
+    for name in moboga.__all__:
+        assert hasattr(moboga, name) and not name.startswith("_")
+        assert not isinstance(getattr(moboga, name), types.ModuleType)
 
 
 def test_import_loads_no_scipy_module():

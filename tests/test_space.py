@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from moboga.space import (
     Candidate,
@@ -14,7 +14,7 @@ from moboga.space import (
     sample_uniform,
     validate_candidate,
 )
-from moboga.engine import EngineConfig, run
+from moboga.engine import DUPLICATE_TOL, EngineConfig, run
 from moboga.problems import binh_korn_problem
 
 
@@ -362,13 +362,22 @@ def test_encode_stays_in_unit_cube(space, seed):
     assert np.all(e >= 0.0) and np.all(e <= 1.0)
 
 
+# a second round trip moves this continuous entry by one rounding step (1.1e-16)
+@example(build_space([("categorical", ("L0",)), ("categorical", ("L0", "L1", "L2", "L3")),
+                      ("continuous", 1.9, 95.4)]), 177310)
 @given(space_strategy, st.integers(0, 2**31 - 1))
 def test_encode_decode_is_idempotent_on_encodings(space, seed):
+    """Discrete and categorical entries survive a second round trip exactly; a
+    continuous one may keep float residue, which the archive's duplicate test
+    absorbs: the two encodings are the same point within DUPLICATE_TOL."""
     rng = np.random.default_rng(seed)
     v = rng.random(space.encoded_dim)
     once = encode(space, decode(space, v))
     twice = encode(space, decode(space, once))
-    assert np.array_equal(once, twice)
+    continuous = np.repeat([isinstance(p, ContinuousParam) for p in space.params],
+                           [p.encoded_width for p in space.params])
+    assert np.array_equal(once[~continuous], twice[~continuous])
+    assert np.linalg.norm(once - twice) <= DUPLICATE_TOL
 
 
 @given(space_strategy, st.integers(0, 2**31 - 1))
