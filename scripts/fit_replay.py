@@ -13,11 +13,14 @@ checks that each replayed fit returns the captured hyperparameters and log
 evidence bit for bit.
 
 A call is a *cold search* (no start, no fixed hyperparameters), a *warm
-search* (started from an earlier fit) or a *kept-θ fit* (fixed
-hyperparameters, no search). Per kind it prints the call count, the median
-time of one call over every replay, and the minor page faults of one replay
-of that kind (``resource.getrusage(RUSAGE_SELF).ru_minflt`` deltas summed per
-replay; median over replays). The ``all`` row sums a whole replay.
+search* (started from an earlier fit), an *extension* (an earlier model kept,
+whose Cholesky factor the fit borders by the one new row) or a *kept-θ fit*
+(fixed or kept hyperparameters and one full factor, no search). The earlier
+model of a call that keeps one is captured with the call and passed again on
+replay. Per kind it prints the call count, the median time of one call over
+every replay, and the minor page faults of one replay of that kind
+(``resource.getrusage(RUSAGE_SELF).ru_minflt`` deltas summed per replay;
+median over replays). The ``all`` row sums a whole replay.
 """
 from __future__ import annotations
 
@@ -33,27 +36,32 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from moboga import engine  # noqa: E402
+from moboga import engine, surrogate  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-KINDS = ("cold search", "warm search", "kept-θ fit")
+KINDS = ("cold search", "warm search", "extension", "kept-θ fit")
 
 
-def _kind(hyper, start) -> str:
+def _kind(X, hyper, start, keep) -> str:
+    if keep is not None:
+        extends = surrogate._extended_factor(keep, np.asarray(X)) is not None
+        return KINDS[2] if extends else KINDS[3]
     if hyper is not None:
-        return KINDS[2]
+        return KINDS[3]
     return KINDS[0] if start is None else KINDS[1]
 
 
 def capture(workload: str, seed: int) -> list[tuple]:
-    """(kind, X, y, hyper, start, fitted model) of every gp_fit call of one run."""
+    """(kind, X, y, hyper, start, kept model, fitted model) of every gp_fit
+    call of one run."""
     w = WORKLOADS[workload]
     calls = []
     fit = engine.gp_fit
 
-    def recording(X, y, hyper=None, *, start=None):
-        model = fit(X, y, hyper, start=start)
-        calls.append((_kind(hyper, start), X.copy(), y.copy(), hyper, start, model))
+    def recording(X, y, hyper=None, *, start=None, keep=None):
+        model = fit(X, y, hyper, start=start, keep=keep)
+        kind = _kind(X, hyper, start, keep)
+        calls.append((kind, X.copy(), y.copy(), hyper, start, keep, model))
         return model
 
     engine.gp_fit = recording
@@ -68,10 +76,10 @@ def replay(calls: list[tuple]) -> tuple[dict, dict]:
     """Per kind, the time of each call and the minor faults of this replay."""
     times = {k: [] for k in KINDS}
     faults = dict.fromkeys(KINDS, 0)
-    for kind, X, y, hyper, start, want in calls:
+    for kind, X, y, hyper, start, keep, want in calls:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        got = engine.gp_fit(X, y, hyper, start=start)
+        got = engine.gp_fit(X, y, hyper, start=start, keep=keep)
         times[kind].append(time.perf_counter() - t0)
         faults[kind] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         if not (

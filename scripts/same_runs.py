@@ -25,20 +25,22 @@ Each side runs, one process at a time and with one BLAS thread:
 * ``scripts/hv_control.py``, the engine-against-random-search table, when
   both sides have the script (a side without it is skipped)
 
-The run records are compared document by document without their wall-clock
-fields (``timestamp``, ``started_at``, ``finished_at``), and each study's
-``metrics.json`` without ``elapsed_seconds``. The ``front`` CSVs, every
-``verify_*/*.csv``, the stdout of each ``run`` (without its "run record
+Every output is compared line by line, as text: the run records and each
+study's ``metrics.json`` with the value of each wall-clock field
+(``timestamp``, ``started_at``, ``finished_at``, ``elapsed_seconds``) masked,
+so that a change of key order or number formatting shows; the ``front`` CSVs,
+every ``verify_*/*.csv``, the stdout of each ``run`` (without its "run record
 written to" line, which names a path), the stdout of ``verify --all``
-(without its ``elapsed_seconds:`` lines) and the ``hv_control.py`` table are
-compared line by line. Every difference is printed, and the exit status is 1
-if there is any, 0 otherwise.
+(without its ``elapsed_seconds:`` lines) and the ``hv_control.py`` table.
+Every difference is printed, and the exit status is 1 if there is any, 0
+otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -75,7 +77,10 @@ CONFIGS = {
         "[engine]\nmax_iterations = 40\ndelta = 1e-12\nseed = 7\n"
     ),
 }
-CLOCK_FIELDS = {"timestamp", "started_at", "finished_at", "elapsed_seconds"}
+# a wall-clock field's JSON value: a string or a number
+CLOCK_VALUE = re.compile(
+    r'("(?:timestamp|started_at|finished_at|elapsed_seconds)": )("[^"]*"|[^,}\s]+)'
+)
 CUT_OBSERVATIONS = 9
 HV_CONTROL = "scripts/hv_control.py"
 
@@ -98,17 +103,21 @@ def _moboga(checkout: Path, args: list[str]) -> str:
     return _python(checkout, ["-m", "moboga", *args])
 
 
-def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list]:
-    """Every output of one side: run records and verify metrics files as lists
-    of documents without their wall-clock fields; CSVs and stdout as lists of
-    lines."""
-    docs: dict[str, list] = {}
+def _masked_lines(path: Path) -> list[str]:
+    """The lines of a JSON or JSON-lines file, each wall-clock value replaced by "*"."""
+    return [CLOCK_VALUE.sub(r'\1"*"', line) for line in path.read_text().splitlines()]
+
+
+def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Every output of one side as a list of lines: run records and verify
+    metrics files with their wall-clock values masked, CSVs and stdout."""
+    docs: dict[str, list[str]] = {}
     for name, args in runs.items():
         record = out / f"{name}.jsonl"
         stdout = _moboga(checkout, ["run", *args, "-o", str(record)]).splitlines()
         docs[f"stdout {name}"] = [s for s in stdout if not s.startswith("run record written to")]
         lines = record.read_text().splitlines()
-        docs[f"run {name}"] = [json.loads(line) for line in lines]
+        docs[f"run {name}"] = _masked_lines(record)
         docs[f"front {name}"] = _moboga(checkout, ["front", str(record)]).splitlines()
         cut = out / f"{name}-cut.jsonl"
         kept = [s for s in lines[:1 + CUT_OBSERVATIONS] if json.loads(s)["kind"] != "result"]
@@ -117,19 +126,15 @@ def _outputs(checkout: Path, out: Path, runs: dict[str, list[str]]) -> dict[str,
     stdout = _moboga(checkout, ["verify", "--all", "--out-dir", str(out)]).splitlines()
     docs["stdout verify"] = [s for s in stdout if not s.startswith("elapsed_seconds:")]
     for metrics in sorted(out.glob("verify_*/metrics.json")):
-        docs[f"verify {metrics.parent.name}"] = [json.loads(metrics.read_text())]
+        docs[f"verify {metrics.parent.name}"] = _masked_lines(metrics)
     for table in sorted(out.glob("verify_*/*.csv")):
         docs[f"verify {table.parent.name}/{table.name}"] = table.read_text().splitlines()
     if (checkout / HV_CONTROL).exists():
         docs["hv_control"] = _python(checkout, [HV_CONTROL]).splitlines()
-    return {
-        key: [{k: v for k, v in d.items() if k not in CLOCK_FIELDS} if isinstance(d, dict) else d
-              for d in ds]
-        for key, ds in docs.items()
-    }
+    return docs
 
 
-def _differences(parent: dict[str, list], change: dict[str, list]) -> list[str]:
+def _differences(parent: dict[str, list[str]], change: dict[str, list[str]]) -> list[str]:
     found = []
     for key in sorted(parent.keys() | change.keys()):
         a, b = parent.get(key), change.get(key)
@@ -137,9 +142,9 @@ def _differences(parent: dict[str, list], change: dict[str, list]) -> list[str]:
             found.append(f"{key}: only on the {'change' if a is None else 'parent'} side")
             continue
         if len(a) != len(b):
-            found.append(f"{key}: {len(a)} documents at the parent, {len(b)} in the change")
+            found.append(f"{key}: {len(a)} lines at the parent, {len(b)} in the change")
         found += [
-            f"{key}: document {i + 1} differs\n  parent: {x}\n  change: {y}"
+            f"{key}: line {i + 1} differs\n  parent: {x}\n  change: {y}"
             for i, (x, y) in enumerate(zip(a, b)) if x != y
         ]
     return found

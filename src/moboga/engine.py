@@ -10,24 +10,25 @@ in. The hyperparameters are searched again only once the archive reaches a
 search size (``next_search_size``: every size up to 20, then sizes about 10%
 apart) above the size those models were fitted at; that evidence search starts
 from the models' hyperparameters. In between, each objective keeps its length
-scales and signal variance and is refitted with them fixed: one Cholesky factor
-instead of a search. The non-dominated rows of the final GA population are the
-informative pool: decoded once to candidates, and encoded once as rows. Every
-point enters the archive through one admission rule: a candidate is admitted
-when it meets every hard constraint and sits more than ``DUPLICATE_TOL`` from
-every point already in the archive or admitted before it. The initial design
-applies it too; its given candidates, and the least-violating draws that fill
-it once its draw budget runs out, skip only the hard check. TOPSIS orders the
-pool best-first by its raw acquisition values (``topsis_rank`` scales its own
-columns), and the first admitted member is the one query of the proposal; when
-none is admitted, the first admitted one of up to 1000 uniform draws is. The
-query keeps the encoding it was admitted with: the stop rule measures it and
-the archive stores it. ``explore`` asks, evaluates and records every query in
-one loop, the initial design's members first; each pick is made once the query
-before it is archived, or dropped if its evaluation failed. Exploration ends
-when the query sits within ``delta`` of something already queried (in encoded
-space) or when the evaluation budget is exhausted. Exploitation extracts the
-Pareto front of the feasible observations and recommends one of them via TOPSIS.
+scales and signal variance, and its model's Cholesky factor is bordered by the
+one new point: one O(n^2) row instead of a search. The non-dominated rows of
+the final GA population are the informative pool: decoded once to candidates,
+and encoded once as rows. Every point enters the archive through one admission
+rule: a candidate is admitted when it meets every hard constraint and sits more
+than ``DUPLICATE_TOL`` from every point already in the archive or admitted
+before it. The initial design applies it too; its given candidates, and the
+least-violating draws that fill it once its draw budget runs out, skip only the
+hard check. TOPSIS orders the pool best-first by its raw acquisition values
+(``topsis_rank`` scales its own columns), and the first admitted member is the
+one query of the proposal; when none is admitted, the first admitted one of up
+to 1000 uniform draws is. The query keeps the encoding it was admitted with:
+the stop rule measures it and the archive stores it. ``explore`` asks,
+evaluates and records every query in one loop, the initial design's members
+first; each pick is made once the query before it is archived, or dropped if
+its evaluation failed. Exploration ends when the query sits within ``delta`` of
+something already queried (in encoded space) or when the evaluation budget is
+exhausted. Exploitation extracts the Pareto front of the feasible observations
+and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -55,7 +56,7 @@ from .objectives import (
 )
 from .pareto import pareto_front
 from .space import Candidate, decode, encode, sample_uniform
-from .surrogate import GpHyperParams, GpModel, gp_fit
+from .surrogate import GpModel, gp_fit
 from .topsis import COST, BENEFIT, check_weights, topsis_rank
 
 STOP_THRESHOLD = "stop_threshold"
@@ -206,8 +207,9 @@ def propose_next(
     the archive has reached a search size (``next_search_size``) since the
     archive those models were fitted on, each objective's evidence search
     starts from that model's hyperparameters. Otherwise each objective keeps
-    the model's length scales and signal variance and is fitted with them
-    fixed, at the default noise: jitter a warm model needed is not carried
+    the model's length scales and signal variance at the default noise
+    (``gp_fit(..., keep=model)``): its factor is bordered by the one new
+    point, or refactored when the model needed jitter, which is not carried
     over. Without ``warm`` the search starts cold.
     """
     if len(archive) < 1:
@@ -226,10 +228,7 @@ def propose_next(
             for j in range(problem.n_objectives)
         )
     else:
-        models = tuple(
-            gp_fit(X, targets[:, j], GpHyperParams(m.hyper.length_scales, m.hyper.signal_variance))
-            for j, m in enumerate(warm)
-        )
+        models = tuple(gp_fit(X, targets[:, j], keep=m) for j, m in enumerate(warm))
     y_best = targets[archive.feasible_indices() or slice(None)].min(axis=0)
 
     def score_fn(genomes: np.ndarray) -> np.ndarray:

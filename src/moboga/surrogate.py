@@ -24,12 +24,22 @@ the search maximized. A fit given ``start``, the hyperparameters of an earlier
 fit on a smaller archive, seeds the search from them, adds a few fresh draws
 and starts with a smaller step. A fit given fixed ``hyper`` runs no search: it
 forms the kernel once and takes one factor, escalating jitter only if it fails.
-The engine fits this way between hyperparameter searches, keeping the previous
-proposal's length scales and signal variance at the default noise.
 
-The model keeps ``L^-1``, formed once per fit, so the posterior over a matrix
-of test inputs (GPML Alg. 2.1) is one kernel block and one matrix product
-``v = L^-1 k`` for every row.
+A fit given ``keep``, an earlier model, keeps its length scales and signal
+variance at the default noise; the engine fits this way between
+hyperparameter searches. When that model had no jitter and the archive is its
+inputs plus one row, the fit borders the model's factor by that row in O(n^2)
+instead of refactoring in O(n^3) (the sequential update of GPML §2.2): with
+``k`` the new row's kernel column, ``l = L^-1 k``, the new pivot is
+``sqrt(sv + s2 - l.l)`` and the new row of ``L^-1`` is ``-(L^-T l)^T /
+pivot``; ``z`` is recomputed, as the target standardization moves with every
+point. Otherwise, or when the new pivot^2 falls below s2 / 2 (in exact
+arithmetic the Schur complement of ``K + s2 I`` is at least s2), it takes the
+full factor.
+
+The model keeps ``L`` and ``L^-1``, formed once per fit or bordered from the
+earlier model's, so the posterior over a matrix of test inputs (GPML Alg. 2.1)
+is one kernel block and one matrix product ``v = L^-1 k`` for every row.
 """
 from __future__ import annotations
 
@@ -79,7 +89,8 @@ class GpModel:
     train_inputs: np.ndarray   # (n, d), encoded
     train_targets: np.ndarray  # (n,), raw scale
     hyper: GpHyperParams
-    chol_inv: np.ndarray       # L^-1, L the lower Cholesky factor of K + noise*I (standardized)
+    chol: np.ndarray           # L, the lower Cholesky factor of K + noise*I (standardized)
+    chol_inv: np.ndarray       # L^-1
     alpha: np.ndarray          # (K + noise*I)^-1 y_standardized
     y_mean: float
     y_scale: float
@@ -132,7 +143,12 @@ def _bordered_factor(
     bordered.reshape(-1)[: n * (n + 2) : n + 2] += noise
     F = np.linalg.cholesky(bordered)
     L, z = F[:n, :n], F[n, :n]
-    return L, z, float(-0.5 * (z @ z) - np.log(F.diagonal()[:n]).sum() - n * _HALF_LOG_2PI)
+    return L, z, _log_evidence(L, z)
+
+
+def _log_evidence(L: np.ndarray, z: np.ndarray) -> float:
+    """log N(y | 0, L L^T) from the factor L and z = L^-1 y."""
+    return float(-0.5 * (z @ z) - np.log(L.diagonal()).sum() - len(z) * _HALF_LOG_2PI)
 
 
 def _chol_with_jitter(
@@ -208,18 +224,57 @@ def _maximize_evidence(
     return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])))
 
 
+def _extended_factor(keep: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """L and L^-1 of the kernel on X, bordered from keep's by X's last row.
+
+    None when keep had jitter, when X is not keep's inputs plus one row, or
+    when the new pivot^2, the Schur complement of K + s2 I (at least s2 in
+    exact arithmetic), falls below s2 / 2, where rounding has taken over. Each
+    product with L^-1 or L^-T gets one step of refinement against L, which
+    holds the error near that of a fresh factor on ill-conditioned kernels.
+    """
+    L, Li, h = keep.chol, keep.chol_inv, keep.hyper
+    n = len(L)
+    if h.noise_variance != DEFAULT_NOISE or X.shape[0] != n + 1:
+        return None
+    if not np.array_equal(X[:n], keep.train_inputs):
+        return None
+    k = _se(_sq_diffs(keep.train_inputs, X[n:]), h.length_scales, h.signal_variance)[:, 0]
+    l = Li @ k
+    l += Li @ (k - L @ l)
+    pivot2 = h.signal_variance + h.noise_variance - l @ l
+    if not pivot2 >= 0.5 * h.noise_variance:
+        return None
+    pivot = math.sqrt(pivot2)
+    w = Li.T @ l  # L^-T l
+    w += Li.T @ (l - L.T @ w)
+    L1 = np.zeros((n + 1, n + 1))
+    L1[:n, :n] = L
+    L1[n, :n] = l
+    L1[n, n] = pivot
+    Li1 = np.zeros((n + 1, n + 1))
+    Li1[:n, :n] = Li
+    Li1[n, :n] = -w / pivot
+    Li1[n, n] = 1.0 / pivot
+    return L1, Li1
+
+
 def gp_fit(
     X: np.ndarray,
     y: np.ndarray,
     hyper: GpHyperParams | None = None,
     *,
     start: GpHyperParams | None = None,
+    keep: GpModel | None = None,
 ) -> GpModel:
     """Fit a GP; hyper=None maximizes the evidence, otherwise hyper is fixed.
 
     ``start`` warm-starts the evidence search from an earlier fit's length
-    scales and signal variance (its noise is not carried over); it cannot be
-    combined with a fixed ``hyper``.
+    scales and signal variance (its noise is not carried over). ``keep`` fixes
+    an earlier model's length scales and signal variance at the default
+    noise: when that model had no jitter and X is its inputs plus one row, its
+    factor is extended by that row in O(n^2) instead of refactored. At most
+    one of ``hyper``, ``start`` and ``keep`` may be given.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -227,13 +282,15 @@ def gp_fit(
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data must be finite")
-    if start is not None:
-        if hyper is not None:
-            raise ValueError("pass either fixed hyper or a warm start, not both")
-        if start.length_scales.shape != (X.shape[1],):
+    kept = None if keep is None else keep.hyper
+    named = (("fixed hyper", hyper), ("warm start", start), ("kept model", kept))
+    given = [(name, h) for name, h in named if h is not None]
+    if len(given) > 1:
+        raise ValueError(f"pass either {given[0][0]} or {given[1][0]}, not both")
+    for name, h in given:
+        if h.length_scales.shape != (X.shape[1],):
             raise ValueError(
-                f"warm start has {start.length_scales.size} length scales "
-                f"for {X.shape[1]} dimensions"
+                f"{name} has {h.length_scales.size} length scales for {X.shape[1]} dimensions"
             )
 
     y_mean = float(y.mean())
@@ -241,6 +298,16 @@ def gp_fit(
     if y_scale < 1e-12:
         y_scale = 1.0
     y_std = (y - y_mean) / y_scale
+
+    factor = None if keep is None else _extended_factor(keep, X)
+    if factor is not None:
+        L, chol_inv = factor
+        z = chol_inv @ y_std  # the standardization moves with every point
+        return GpModel(
+            X, y, keep.hyper, L, chol_inv, chol_inv.T @ z, y_mean, y_scale, _log_evidence(L, z)
+        )
+    if keep is not None:
+        hyper = GpHyperParams(keep.hyper.length_scales, keep.hyper.signal_variance)
 
     D = _sq_diffs(X, X)
     bordered = _bordered(y_std)
@@ -256,7 +323,7 @@ def gp_fit(
     # L^T is upper-triangular, so its LU needs no row exchange and the solve
     # against the identity is a triangular one: L^-1 comes out exactly lower
     chol_inv = np.linalg.inv(L.T).T
-    return GpModel(X, y, hyper, chol_inv, chol_inv.T @ z, y_mean, y_scale, ev)
+    return GpModel(X, y, hyper, L, chol_inv, chol_inv.T @ z, y_mean, y_scale, ev)
 
 
 def gp_posterior(m: GpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

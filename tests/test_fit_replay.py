@@ -13,8 +13,19 @@ def test_binh_korn_searches_every_fit_and_replays_them_bit_for_bit():
     # 6 proposals x 2 objectives; an archive of at most 20 points searches every time
     assert [c[0] for c in calls] == ["cold search"] * 2 + ["warm search"] * 10
     times, faults = fit_replay.replay(calls)  # exits if a replayed fit differs
-    assert [len(times[k]) for k in fit_replay.KINDS] == [2, 10, 0]
+    assert [len(times[k]) for k in fit_replay.KINDS] == [2, 10, 0, 0]
     assert set(faults) == set(fit_replay.KINDS)
+
+
+def test_deep_archive_extends_every_fit_between_its_searches_and_replays_them_bit_for_bit():
+    calls = fit_replay.capture("deep-archive", 1)
+    # one search at n = 150, then 9 proposals x 2 objectives that keep theta
+    assert [c[0] for c in calls] == ["cold search"] * 2 + ["extension"] * 18
+    for (_, X, _, _, _, keep, model), prev in zip(calls[2:], calls):
+        assert keep is prev[-1] and len(X) == len(keep.train_inputs) + 1
+        assert model.chol.shape == (len(X), len(X))
+    times, _ = fit_replay.replay(calls)
+    assert [len(times[k]) for k in fit_replay.KINDS] == [2, 0, 18, 0]
 
 
 def test_main_prints_one_row_per_kind_seen_and_the_whole_replay(capsys):

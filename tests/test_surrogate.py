@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from moboga import surrogate
+from moboga.problems import constr_ex
 from moboga.surrogate import (
     DEFAULT_NOISE,
     GpHyperParams,
@@ -151,6 +153,27 @@ class TestWarmStart:
         X, y = warm_data()
         with pytest.raises(ValueError, match="length scales"):
             gp_fit(X, y, start=fixed([0.3, 0.3, 0.3]))
+
+    @pytest.mark.parametrize("ls", [[0.5], [0.5, 0.5]])
+    def test_fixed_hyper_of_another_dimension_rejected(self, ls):
+        # one length scale would broadcast into an isotropic kernel, two would not broadcast
+        X, y = warm_data(d=3)
+        with pytest.raises(ValueError, match=f"{len(ls)} length scales for 3 dimensions"):
+            gp_fit(X, y, fixed(ls))
+
+    def test_kept_model_of_another_dimension_rejected(self):
+        X, y = warm_data()
+        kept = gp_fit(X[:, :1], y, fixed([0.3]))
+        with pytest.raises(ValueError, match="1 length scales for 2 dimensions"):
+            gp_fit(X, y, keep=kept)
+
+    def test_kept_model_with_fixed_hyper_or_start_rejected(self):
+        X, y = warm_data()
+        kept = gp_fit(X[:-1], y[:-1], fixed([0.3, 0.3]))
+        with pytest.raises(ValueError, match="not both"):
+            gp_fit(X, y, fixed([0.3, 0.3]), keep=kept)
+        with pytest.raises(ValueError, match="not both"):
+            gp_fit(X, y, start=fixed([0.3, 0.3]), keep=kept)
 
     def test_start_noise_is_not_carried_over(self):
         # an earlier fit's noise may hold jitter; the warm fit uses its own
@@ -409,3 +432,138 @@ class TestInvariants:
             GpHyperParams(np.array([1.0]), -1.0)
         with pytest.raises(ValueError):
             GpHyperParams(np.array([1.0]), 1.0, noise_variance=0.0)
+
+
+def ld_cholesky(A):
+    """Lower Cholesky factor of A, row by row in A's dtype (np.linalg has no longdouble)."""
+    L = np.zeros_like(A)
+    for j in range(len(A)):
+        L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def ld_forward(L, B):
+    """L^-1 B by forward substitution in L's dtype."""
+    B = B.copy()
+    for i in range(len(L)):
+        B[i] = (B[i] - L[i, :i] @ B[:i]) / L[i, i]
+    return B
+
+
+def ld_posterior(X, y, hyper, Q):
+    """mu, sigma and the target scale of the GP on (X, y), all in np.longdouble."""
+    ld = np.longdouble
+    X, y, Q = X.astype(ld), y.astype(ld), Q.astype(ld)
+    ls, sv = hyper.length_scales.astype(ld), ld(hyper.signal_variance)
+
+    def k(a, b):
+        return sv * np.exp(-0.5 * (((a[:, None, :] - b[None, :, :]) / ls) ** 2).sum(axis=-1))
+
+    y_mean, y_scale = y.mean(), y.std()
+    L = ld_cholesky(k(X, X) + ld(hyper.noise_variance) * np.eye(len(X), dtype=ld))
+    z = ld_forward(L, (y - y_mean) / y_scale)
+    v = ld_forward(L, k(X, Q))
+    var = np.maximum(sv - (v * v).sum(axis=0), 0)
+    return y_mean + y_scale * (v.T @ z), y_scale * np.sqrt(var), y_scale
+
+
+def same_hyper(a, b):
+    return np.array_equal(a.length_scales, b.length_scales) and (
+        a.signal_variance, a.noise_variance) == (b.signal_variance, b.noise_variance)
+
+
+def same_fit(a, b):
+    return (
+        same_hyper(a.hyper, b.hyper)
+        and all(np.array_equal(getattr(a, f), getattr(b, f))
+                for f in ("chol", "chol_inv", "alpha", "train_inputs", "train_targets"))
+        and (a.y_mean, a.y_scale, a.log_evidence) == (b.y_mean, b.y_scale, b.log_evidence)
+    )
+
+
+class TestExtend:
+    """gp_fit(X, y, keep=m) borders m's factor by X's one new row."""
+
+    def test_extension_equals_the_full_fit_on_well_conditioned_data(self):
+        rng = np.random.default_rng(11)
+        X = rng.random((25, 2))
+        y = np.sin(5 * X[:, 0]) + X[:, 1]
+        hyper = fixed([0.2, 0.2], sv=1.3)
+        m = gp_fit(X[:20], y[:20], hyper)
+        Q = rng.random((40, 2))
+        for n in range(21, 26):
+            m = gp_fit(X[:n], y[:n], keep=m)
+            full = gp_fit(X[:n], y[:n], hyper)
+            assert same_hyper(m.hyper, full.hyper) and m.chol.shape == (n, n)
+            assert not np.array_equal(m.chol, full.chol)  # extended, not refactored
+            for got, want in zip(gp_posterior(m, Q), gp_posterior(full, Q)):
+                np.testing.assert_allclose(got, want, rtol=1e-9)
+            np.testing.assert_allclose(m.alpha, full.alpha, rtol=1e-9)
+            assert m.log_evidence == pytest.approx(full.log_evidence, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_on_a_deep_archive_stays_within_twice_the_full_fits_error(self, seed):
+        # constr-ex behind 150 uniform points, theta from a cold search: log evidence
+        # above 700, where products with L^-1 and L^-T that skip the refinement
+        # against L lose up to 60x accuracy
+        rng = np.random.default_rng(seed)
+        U = rng.random((160, 2))
+        T = np.column_stack(constr_ex(0.1 + 0.9 * U[:, 0], 5.0 * U[:, 1]))
+        Q = np.vstack([rng.random((30, 2)), U[:150:5] + 1e-3 * rng.normal(size=(30, 2))])
+        for j in range(2):
+            m = gp_fit(U[:150], T[:150, j])
+            hyper = m.hyper
+            assert hyper.noise_variance == DEFAULT_NOISE and m.log_evidence > 700
+            err_ext, err_full = np.zeros(2), np.zeros(2)
+            for n in range(151, 161):
+                m = gp_fit(U[:n], T[:n, j], keep=m)
+                assert m.chol.shape == (n, n) and same_hyper(m.hyper, hyper)
+                ref_mu, ref_sigma, scale = ld_posterior(U[:n], T[:n, j], hyper, Q)
+                for err, fit in ((err_ext, m), (err_full, gp_fit(U[:n], T[:n, j], hyper))):
+                    mu, sigma = gp_posterior(fit, Q)
+                    err[:] = np.maximum(err, [np.abs(mu - ref_mu).max() / scale,
+                                              np.abs(sigma - ref_sigma).max() / scale])
+            assert np.all(err_ext <= 2.0 * err_full), (j, err_ext, err_full)
+
+    def test_jittered_kept_model_is_refitted_at_the_default_noise(self):
+        rng = np.random.default_rng(0)
+        X = rng.random((13, 1))
+        y = X[:, 0] ** 2
+        kept = gp_fit(X[:12], y[:12], fixed([3.0], sv=1e8))
+        assert kept.hyper.noise_variance > DEFAULT_NOISE
+        assert same_fit(gp_fit(X, y, keep=kept), gp_fit(X, y, fixed([3.0], sv=1e8)))
+
+    def test_two_new_rows_or_a_changed_prefix_are_refactored(self):
+        X, y = warm_data(n=16)
+        hyper = fixed([0.4, 0.6], sv=1.5)
+        kept = gp_fit(X[:14], y[:14], hyper)
+        assert same_fit(gp_fit(X, y, keep=kept), gp_fit(X, y, hyper))
+        moved = X[:15].copy()
+        moved[3, 0] += 1e-9
+        assert same_fit(gp_fit(moved, y[:15], keep=kept), gp_fit(moved, y[:15], hyper))
+
+    @pytest.mark.parametrize("share, extended", [(0.25, False), (1.0, True)])
+    def test_a_pivot_below_half_the_noise_is_refactored(self, share, extended):
+        # scaling the kept factor by c scales l = L^-1 k by 1/c, so c sets the new
+        # pivot^2 to share * noise; the new row repeats a training row
+        X, y = warm_data(n=15)
+        X[14] = X[5]
+        hyper = fixed([0.4, 0.6], sv=1.5)
+        kept = gp_fit(X[:14], y[:14], hyper)
+        ll = hyper.signal_variance + DEFAULT_NOISE - gp_fit(X, y, keep=kept).chol[-1, -1] ** 2
+        c = math.sqrt(ll / (hyper.signal_variance + (1.0 - share) * DEFAULT_NOISE))
+        forced = dataclasses.replace(kept, chol=kept.chol * c, chol_inv=kept.chol_inv / c)
+        m = gp_fit(X, y, keep=forced)
+        assert same_fit(m, gp_fit(X, y, hyper)) != extended
+        if extended:
+            assert m.chol[-1, -1] ** 2 == pytest.approx(share * DEFAULT_NOISE, rel=1e-3)
+
+    def test_factor_and_inverse_stay_exactly_lower_triangular(self):
+        X, y = warm_data(n=20)
+        m = gp_fit(X[:12], y[:12], fixed([0.4, 0.6]))
+        for n in range(13, 21):
+            m = gp_fit(X[:n], y[:n], keep=m)
+            assert np.array_equal(np.tril(m.chol), m.chol)
+            assert np.array_equal(np.tril(m.chol_inv), m.chol_inv)
+        np.testing.assert_allclose(m.chol @ m.chol_inv, np.eye(20), atol=1e-9)
