@@ -22,12 +22,14 @@ neither side, and a verdict. The verdict applies the benchmark's rule, the
 first that holds in this order, with the metric's bound taken relative to the
 parent's median:
 
-* ``better``: the change won at least 9 of every 10 pairs (a tie is no win),
-  and its median is better than the parent's by more than the parent's
-  quartile gap;
+* ``better``: there are at least ``MIN_PAIRS`` (10) pairs, the change won at
+  least 9 of every 10 (a tie is no win), and its median is better than the
+  parent's by more than the parent's quartile gap;
 * ``worse``: the change's median is worse than the parent's by more than the
   bound;
 * ``unresolved``: either side's quartile gap is wider than the bound;
+* ``too few pairs``: the change would read ``better`` but has fewer than
+  ``MIN_PAIRS`` pairs to show it;
 * ``unchanged``: anything else.
 
 ``--setup-pairs N`` adds N alternated pairs of ``perfbench/setup_probe.py``
@@ -60,6 +62,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs that can read better
 
 
 def _workload_pairs(spec: str) -> tuple[str, int]:
@@ -129,14 +132,15 @@ def _compare(parent: list[float], change: list[float], metric: dict) -> dict:
     gain = sign * (medians[0] - medians[1])
     bound = metric["bound"] * abs(medians[0])
     gaps = [q3 - q1 for q1, q3 in quartiles]
-    if wins >= 0.9 * len(parent) and gain > gaps[0]:
+    won = wins >= 0.9 * len(parent) and gain > gaps[0]
+    if won and len(parent) >= MIN_PAIRS:
         verdict = "better"
     elif -gain > bound:
         verdict = "worse"
     elif max(gaps) > bound:
         verdict = "unresolved"
     else:
-        verdict = "unchanged"
+        verdict = "too few pairs" if won else "unchanged"
     return {
         "parent_median": round(medians[0], 5),
         "parent_quartiles": [round(q, 5) for q in quartiles[0]],

@@ -16,19 +16,19 @@ the final GA population are the informative pool: decoded once to candidates,
 and encoded once as rows. Every point enters the archive through one admission
 rule: a candidate is admitted when it meets every hard constraint and sits more
 than ``DUPLICATE_TOL`` from every point already in the archive or admitted
-before it. The initial design applies it too; its given candidates, and the
-least-violating draws that fill it once its draw budget runs out, skip only the
-hard check. TOPSIS orders the pool best-first by its raw acquisition values
-(``topsis_rank`` scales its own columns), and the first admitted member is the
-one query of the proposal; when none is admitted, the first admitted one of up
-to 1000 uniform draws is. The query keeps the encoding it was admitted with:
-the stop rule measures it and the archive stores it. ``explore`` asks,
-evaluates and records every query in one loop, the initial design's members
-first; each pick is made once the query before it is archived, or dropped if
-its evaluation failed. Exploration ends when the query sits within ``delta`` of
-something already queried (in encoded space) or when the evaluation budget is
-exhausted. Exploitation extracts the Pareto front of the feasible observations
-and recommends one of them via TOPSIS.
+before it. The initial design applies it too; only its given candidates skip
+the hard check. Every drawn point comes from ``_fresh``, the hard-feasible ones
+of k uniform draws in draw order. TOPSIS orders the pool best-first by its raw
+acquisition values (``topsis_rank`` scales its own columns), and the first
+admitted member is the one query of the proposal; when none is admitted, the
+first admitted one of up to 1000 fresh draws is. The query keeps the encoding
+it was admitted with: the stop rule measures it and the archive stores it.
+``explore`` asks, evaluates and records every query in one loop, the initial
+design's members first; each pick is made once the query before it is
+archived, or dropped if its evaluation failed. Exploration ends when the query
+sits within ``delta`` of something already queried (in encoded space) or when
+the evaluation budget is exhausted. Exploitation extracts the Pareto front of
+the feasible observations and recommends one of them via TOPSIS.
 
 Acquisition values are larger-is-better, so they are negated on the way into
 the GA and the domination test, and fed un-negated (benefit direction) into
@@ -52,10 +52,9 @@ from .objectives import (
     Problem,
     all_satisfied,
     evaluate_candidate,
-    total_violation,
 )
 from .pareto import pareto_front
-from .space import Candidate, decode, encode, sample_uniform
+from .space import Candidate, SearchSpace, decode, encode, sample_uniform
 from .surrogate import GpModel, gp_fit
 from .topsis import COST, BENEFIT, check_weights, topsis_rank
 
@@ -194,6 +193,16 @@ def _admitted(
             yield cand, enc
 
 
+def _fresh(
+    space: SearchSpace, hard: Sequence[ConstraintSpec], rng: np.random.Generator, k: int
+) -> Iterator[tuple[Candidate, np.ndarray]]:
+    """The hard-feasible ones of k uniform draws, lazily, each with its encoding."""
+    for _ in range(k):
+        cand = sample_uniform(space, rng)
+        if not hard or all_satisfied(hard, cand):
+            yield cand, encode(space, cand)
+
+
 def propose_next(
     archive: Archive,
     problem: Problem,
@@ -239,11 +248,11 @@ def propose_next(
     pm = list(zip(decode(space, front0), -scores[part.fronts[0]]))
     pool_enc = encode(space, front0)
 
-    # the pool best-first, then (lazily, only if no member is admitted) draws
+    # the pool best-first, then (lazily, only if no member is admitted) fresh draws
+    hard, seen = problem.hard_constraints, list(X)
     ordered = ((pm[i][0], pool_enc[i]) for i in _rank_pool(pm, cfg.next_pick))
-    draws = (sample_uniform(space, rng) for _ in range(1000))
-    pairs = chain(ordered, ((c, encode(space, c)) for c in draws))
-    picked = next(_admitted(pairs, problem.hard_constraints, list(X)), None)
+    picked = next(chain(_admitted(ordered, hard, seen),
+                        _admitted(_fresh(space, hard, rng, 1000), (), seen)), None)
     if picked is None:
         raise EngineError(
             "could not draw a fresh hard-feasible candidate; the feasible region "
@@ -287,32 +296,20 @@ def _initial_design(
     """The first ``n_initial`` admitted candidates, each with its encoding.
 
     The given candidates come first and skip only the hard check (every one of
-    them is validated). Uniform draws follow, hard-infeasible ones set aside;
-    if the draw budget runs out, the set-aside draws fill the remainder in
-    (violation, draw) order, so mostly-infeasible spaces still get a design.
+    them is validated). Up to ``100 * n_initial`` fresh draws follow, each one
+    hard-feasible; when they run out first, the design raises ``EngineError``
+    before any point is evaluated.
     """
     space = problem.space
-    hard = problem.hard_constraints
     attempts = 100 * cfg.n_initial
-
-    def drawn() -> Iterator[tuple[Candidate, np.ndarray]]:
-        rejected: list[tuple[float, int, Candidate]] = []
-        for attempt in range(attempts):
-            cand = sample_uniform(space, rng)
-            if all_satisfied(hard, cand):
-                yield cand, encode(space, cand)
-            else:
-                rejected.append((total_violation(hard, cand), attempt, cand))
-        for _, _, cand in sorted(rejected, key=lambda t: (t[0], t[1])):
-            yield cand, encode(space, cand)
-
     given = list(initial_candidates or [])
-    pairs = chain(zip(given, encode(space, given)) if given else (), drawn())
+    pairs = chain(zip(given, encode(space, given)) if given else (),
+                  _fresh(space, problem.hard_constraints, rng, attempts))
     chosen = list(islice(_admitted(pairs, (), []), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
         raise EngineError(
-            f"initialization exhausted {attempts} draws without collecting "
-            f"{cfg.n_initial} distinct candidates"
+            f"initialization exhausted {attempts} draws without collecting {cfg.n_initial} "
+            "distinct candidates; pass initial candidates that meet the hard constraints"
         )
     return chosen
 

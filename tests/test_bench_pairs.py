@@ -60,3 +60,13 @@ def test_unchanged_inside_the_bound_and_the_spread():
     got = bench_pairs._compare(PARENT, noisy, LOWER)
     assert (got["change_wins"], got["verdict"]) == (5, "unchanged")
     assert got["parent_quartiles"] == [1.0225, 1.0675]
+
+
+def test_below_ten_pairs_a_win_reads_too_few_pairs_but_worse_and_unresolved_still_report():
+    five = PARENT[:5]  # quartile gap 0.02
+    assert verdict(five, [p - 0.1 for p in five]) == "too few pairs"
+    assert verdict(five, [p + 0.1 for p in five], HIGHER) == "too few pairs"
+    assert verdict(five, [p + 0.3 for p in five]) == "worse"
+    wide = [0.5, 0.6, 0.7, 0.9, 0.95]  # every pair won, quartile gap 0.3
+    assert verdict(five, wide) == "unresolved"
+    assert verdict(five, [p - 0.01 for p in five]) == "unchanged"

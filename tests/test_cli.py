@@ -134,6 +134,18 @@ class TestRun:
         )
         assert code == EXIT_NO_FEASIBLE
 
+    def test_a_hard_region_too_small_for_the_design_exits_3(self, tmp_path, capsys):
+        # sinusoid-1d's hard band [0.2, 0.6] excludes every draw from [0.2, 0.6)
+        cfg = tmp_path / "band.ini"
+        cfg.write_text(
+            "[problem]\nname = sinusoid-1d\n\n[param.x]\ntype = continuous\nlo = 0.2\n"
+            "hi = 0.6\n\n[engine]\nn_initial = 2\nmax_iterations = 4\n"
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_RUNTIME
+        assert ("initialization exhausted 200 draws without collecting 2 distinct candidates; "
+                "pass initial candidates that meet the hard constraints") in capsys.readouterr().err
+
     def test_objective_zero_on_the_whole_front_still_recommends(
         self, tmp_path, monkeypatch, capsys
     ):

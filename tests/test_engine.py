@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from moboga.objectives import (
     Problem,
     all_satisfied,
     evaluate_candidate,
-    total_violation,
 )
 from moboga.pareto import fast_nondominated_sort
 from moboga.problems import binh_korn_problem
@@ -311,44 +312,52 @@ class TestExplore:
 
 
 class TestInitialDesign:
-    """The design's draw budget, its least-violating fill and its RNG use."""
+    """The design's draw budget, its hard boundary and its RNG use."""
+
+    EXHAUSTED = ("initialization exhausted 500 draws without collecting 5 distinct "
+                 "candidates; pass initial candidates that meet the hard constraints")
 
     @staticmethod
-    def replay(space, hard, seed, n_draws):
-        """Every budgeted draw of a fresh generator, the hard-feasible ones
-        first, then the others by (violation, draw); and that generator."""
-        rng = np.random.default_rng(seed)
-        draws = [sample_uniform(space, rng) for _ in range(n_draws)]
-        feasible = [c for c in draws if all_satisfied(hard, c)]
-        rejected = [(total_violation(hard, c), i) for i, c in enumerate(draws)
-                    if not all_satisfied(hard, c)]
-        return feasible, [draws[i] for _, i in sorted(rejected)], rng
+    def tiny_problem(evaluated):
+        """x < 0.002 on [0, 1]: about one of 500 draws meets it; evaluated
+        collects every candidate the evaluator sees."""
+        tiny = ConstraintSpec("tiny", predicate=lambda c: c["x"] < 0.002)
+        return Problem(space_1d(), lambda c: evaluated.append(c) or (c["x"],), ("q",), (tiny,))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_mostly_infeasible_fill_takes_the_least_violating_draws(self, seed):
-        hard = ConstraintSpec(
-            "tiny", predicate=lambda c: c["x"] < 0.002, violation=lambda c: c["x"] - 0.002
-        )
-        problem = parabola_problem([hard])
+    def test_a_hard_region_too_small_for_the_design_raises_before_any_evaluation(self, seed):
+        evaluated = []
+        problem = self.tiny_problem(evaluated)
         cfg = EngineConfig(n_initial=5, max_iterations=5, seed=seed)
-        rng = np.random.default_rng(seed)
-        design = engine._initial_design(problem, cfg, rng, None)
-        feasible, fill, after = self.replay(problem.space, [hard], seed, 500)
-        assert len(feasible) < 5  # the budget runs out, so the fill is used
-        assert [c for c, _ in design] == (feasible + fill)[:5]
-        assert all(np.array_equal(e, encode(problem.space, c)) for c, e in design)
-        assert rng.random() == after.random()
-
-    def test_never_true_constraint_without_violation_fills_in_draw_order(self):
-        never = ConstraintSpec("never", predicate=lambda c: False)
-        problem = parabola_problem([never])
-        cfg = EngineConfig(n_initial=3, max_iterations=3, seed=9)
-        rng = np.random.default_rng(9)
-        design = engine._initial_design(problem, cfg, rng, None)
-        replay = np.random.default_rng(9)
-        draws = [sample_uniform(problem.space, replay) for _ in range(300)]
-        assert [c for c, _ in design] == draws[:3]
+        with pytest.raises(EngineError, match=re.escape(self.EXHAUSTED)):
+            explore(problem, cfg)
+        assert evaluated == []
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(EngineError, match=re.escape(self.EXHAUSTED)):
+            engine._initial_design(problem, cfg, rng, None)
+        for _ in range(500):
+            sample_uniform(problem.space, replay)
         assert rng.random() == replay.random()
+
+    def test_given_candidates_that_meet_the_hard_constraints_make_the_design(self):
+        problem = self.tiny_problem([])
+        given = [Candidate({"x": 0.0001 * (i + 1)}) for i in range(5)]
+        cfg = EngineConfig(n_initial=5, max_iterations=5)
+        design = engine._initial_design(problem, cfg, np.random.default_rng(0), given)
+        assert [c for c, _ in design] == given
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_drawn_observation_meets_the_hard_constraints(self, monkeypatch, seed):
+        space = SearchSpace((ContinuousParam("x", 0.0, 1.0), ContinuousParam("y", 0.0, 1.0)))
+        corner = ConstraintSpec("corner", predicate=lambda c: c["x"] + c["y"] < 0.45)  # area 0.10
+        problem = Problem(space, lambda c: (c["x"], 1.0 - c["y"]), ("q1", "q2"), (corner,))
+        # a pool outside the corner: every proposal's query is a fresh draw
+        TestProposeNext.fixed_pool(monkeypatch, [[0.9, 0.9]], [[-1.0, -1.0]])
+        cfg = EngineConfig(n_initial=5, max_iterations=12, delta=1e-12, ga=SMALL_GA, seed=seed)
+        archive = explore(problem, cfg)
+        assert len(archive) == 12
+        assert [o.iteration for o in archive.observations[:6]] == [0] * 5 + [1]
+        assert all(corner.predicate(o.candidate) for o in archive.observations)
 
     def test_given_candidates_skip_the_hard_check_but_not_the_duplicate_test(self):
         hard = ConstraintSpec("left", predicate=lambda c: c["x"] < 0.5)
