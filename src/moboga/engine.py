@@ -76,15 +76,36 @@ def next_search_size(n: int) -> int:
     return s
 
 
-def _min_distance(encodings, enc: np.ndarray) -> float:
-    """Smallest Euclidean distance from enc to any row of encodings (inf if none).
+class _Rows:
+    """Float rows appended one at a time to a buffer that doubles when full."""
 
-    The duplicate test (``<= DUPLICATE_TOL``) and the stop rule (``<= delta``)
-    are both thresholds on this one number.
-    """
-    if len(encodings) == 0:
-        return math.inf
-    return float(np.linalg.norm(np.asarray(encodings) - enc, axis=1).min())
+    def __init__(self, rows: np.ndarray | None = None) -> None:
+        self._buf = None if rows is None else np.array(rows, dtype=float)
+        self._n = 0 if rows is None else len(self._buf)
+
+    def append(self, row: np.ndarray) -> None:
+        if self._buf is None:
+            self._buf = np.empty((8, np.size(row)))
+        elif self._n == len(self._buf):
+            grown = np.empty((max(8, 2 * self._n), self._buf.shape[1]))
+            grown[: self._n] = self._buf
+            self._buf = grown
+        self._buf[self._n] = row
+        self._n += 1
+
+    def filled(self) -> np.ndarray:
+        """A copy of the rows appended so far."""
+        return np.empty((0, 0)) if self._buf is None else self._buf[: self._n].copy()
+
+    def min_distance(self, enc: np.ndarray) -> float:
+        """Smallest Euclidean distance from enc to any row (inf if none).
+
+        The duplicate test (``<= DUPLICATE_TOL``) and the stop rule (``<=
+        delta``) are both thresholds on this one number.
+        """
+        if self._n == 0:
+            return math.inf
+        return float(np.linalg.norm(self._buf[: self._n] - enc, axis=1).min())
 
 
 class EngineError(RuntimeError):
@@ -110,6 +131,8 @@ class Archive:
     def __init__(self) -> None:
         self.observations: list[Observation] = []
         self.stop_reason: str = MAX_ITERATIONS
+        self._encoded = _Rows()
+        self._objectives = _Rows()
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -122,19 +145,21 @@ class Archive:
                 f"duplicate observation: encoding {obs.encoded} already archived"
             )
         self.observations.append(obs)
+        self._encoded.append(obs.encoded)
+        self._objectives.append(obs.objectives)
 
     def encoded_matrix(self) -> np.ndarray:
-        return np.vstack([o.encoded for o in self.observations])
+        return self._encoded.filled()
 
     def objective_matrix(self) -> np.ndarray:
-        return np.vstack([o.objectives for o in self.observations])
+        return self._objectives.filled()
 
     def feasible_indices(self) -> list[int]:
         return [i for i, o in enumerate(self.observations) if o.feasible]
 
     def min_distance(self, enc: np.ndarray) -> float:
         """Encoded distance from enc to the nearest archived point (inf if empty)."""
-        return _min_distance([o.encoded for o in self.observations], enc)
+        return self._encoded.min_distance(enc)
 
 
 NextPick = Union[str, Callable[[list[tuple[Candidate, np.ndarray]]], int]]
@@ -183,12 +208,12 @@ class RunResult:
 def _admitted(
     pairs: Iterable[tuple[Candidate, np.ndarray]],
     hard: Sequence[ConstraintSpec],
-    seen: list[np.ndarray],
+    seen: _Rows,
 ) -> Iterator[tuple[Candidate, np.ndarray]]:
     """The (candidate, encoding) pairs that pass the admission rule against
     seen, lazily and in order; each admitted encoding joins seen."""
     for cand, enc in pairs:
-        if (not hard or all_satisfied(hard, cand)) and _min_distance(seen, enc) > DUPLICATE_TOL:
+        if (not hard or all_satisfied(hard, cand)) and seen.min_distance(enc) > DUPLICATE_TOL:
             seen.append(enc)
             yield cand, enc
 
@@ -249,7 +274,7 @@ def propose_next(
     pool_enc = encode(space, front0)
 
     # the pool best-first, then (lazily, only if no member is admitted) fresh draws
-    hard, seen = problem.hard_constraints, list(X)
+    hard, seen = problem.hard_constraints, _Rows(X)
     ordered = ((pm[i][0], pool_enc[i]) for i in _rank_pool(pm, cfg.next_pick))
     picked = next(chain(_admitted(ordered, hard, seen),
                         _admitted(_fresh(space, hard, rng, 1000), (), seen)), None)
@@ -305,7 +330,7 @@ def _initial_design(
     given = list(initial_candidates or [])
     pairs = chain(zip(given, encode(space, given)) if given else (),
                   _fresh(space, problem.hard_constraints, rng, attempts))
-    chosen = list(islice(_admitted(pairs, (), []), cfg.n_initial))
+    chosen = list(islice(_admitted(pairs, (), _Rows()), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
         raise EngineError(
             f"initialization exhausted {attempts} draws without collecting {cfg.n_initial} "

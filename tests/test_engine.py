@@ -99,6 +99,16 @@ class TestArchive:
         assert archive.min_distance(np.array([0.3])) == pytest.approx(0.1)
         assert archive.min_distance(encode(space, Candidate({"x": 0.9}))) == 0.0
 
+    def test_matrices_are_copies_of_the_rows_across_buffer_growth(self):
+        space = space_1d()
+        archive = archive_of(space, [(0.05 * i, [i, -i]) for i in range(19)])
+        X, Q = archive.encoded_matrix(), archive.objective_matrix()
+        assert X.tobytes() == np.vstack([o.encoded for o in archive.observations]).tobytes()
+        assert Q.tobytes() == np.vstack([o.objectives for o in archive.observations]).tobytes()
+        X[:], Q[:] = -1.0, -1.0
+        assert archive.min_distance(np.array([0.9])) == 0.0
+        assert archive.objective_matrix()[18].tolist() == [18.0, -18.0]
+
     def test_rejects_decreasing_iterations(self):
         space = space_1d()
         archive = archive_of(space, [(0.5, [1.0], 3)])
