@@ -10,19 +10,23 @@ the d slices into each entry in order 0..d-1 (on a strided ``D`` it would sum
 pairwise), so each entry is the same dimension-by-dimension sum whichever other
 rows share the call.
 
-Hyperparameters are chosen by maximizing the log marginal likelihood with a
-seeded multi-start coordinate pattern search (archive sizes stay small enough
-that exact solves are cheap). A fit builds ``D`` of the training inputs and one
-bordered matrix ``[[K + s2 I, y], [y^T, c]]`` once, a search also one workspace
-the size of ``D`` (d n^2 floats: 410 KB at n = 160, d = 2); each probe weights
-``D`` into the workspace, copies the kernel into the leading block and takes
-the evidence from one Cholesky factor (GPML §2.2, Alg. 2.1). The factor's
-leading block is the factor ``L`` of ``K + s2 I`` and its last row is ``z =
-L^-1 y``, so ``y^T (K + s2 I)^-1 y = z.z`` needs no triangular solve. The
-fitted model's ``log_evidence`` comes from the same helper, so it is the value
-the search maximized. A fit given ``start``, the hyperparameters of an earlier
-fit on a smaller archive, seeds the search from them, adds a few fresh draws
-and starts with a smaller step. A fit given fixed ``hyper`` runs no search: it
+Hyperparameters theta = (log l_1 .. log l_d, log sv) maximize the log marginal
+likelihood plus log-normal priors of variance 3, centred at sqrt(2) + log(d) / 2
+on each log l_i (Hvarfner, Hellsten & Nardi, ICML 2024) and at 0 on log sv, the
+targets being standardized; the priors keep theta finite where the evidence
+alone keeps rising. A fit builds ``D`` of the training inputs and one bordered
+matrix ``[[K + s2 I, y], [y^T, c]]`` once, a search also one workspace the size
+of ``D``; each evaluation weights ``D`` into the workspace, copies the kernel
+into the leading block and takes the evidence from one Cholesky factor (GPML
+§2.2, Alg. 2.1). The factor's leading block is the factor ``L`` of ``K + s2 I``
+and its last row is ``z = L^-1 y``, so ``y^T (K + s2 I)^-1 y = z.z`` needs no
+triangular solve. The search scores seeded draws of theta (with ``start``, the
+hyperparameters of an earlier fit, among them) and climbs from the best by BFGS
+with backtracking, until no step of 1e-3 in any coordinate ascends; a trial
+whose ``exp`` overflows or whose factor fails scores -inf. The gradient is GPML
+eq. 5.9 from ``K^-1 = L^-T L^-1``, with ``L^-1`` from a blocked triangular
+inverse. The fitted model's ``log_evidence``, from the same helper, is the
+evidence without the prior. A fit given fixed ``hyper`` runs no search: it
 forms the kernel once and takes one factor, escalating jitter only if it fails.
 
 A fit given ``keep``, an earlier model, keeps its length scales and signal
@@ -56,10 +60,9 @@ _LS_LOG_RANGE = (math.log(0.05), math.log(2.0))
 _SV_LOG_RANGE = (math.log(0.1), math.log(10.0))
 _N_STARTS = 16
 _N_WARM_DRAWS = 3
-_FIRST_STEP = 0.5
-_WARM_FIRST_STEP = 0.125
-_MIN_STEP = 1e-3
-_SEARCH_BUDGET = 200
+_STEP_TOL = 1e-3      # the ascent stops once no log hyperparameter moves this far
+_MAX_ASCENT_STEPS = 100
+_INV_BLOCK = 32
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -172,6 +175,58 @@ def _chol_with_jitter(
                 ) from None
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L, exactly lower-triangular: by halves,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], down to blocks of at
+    most _INV_BLOCK rows, each inverted as gp_fit inverts L (exactly lower)."""
+    n = len(L)
+    if n <= _INV_BLOCK:
+        return np.linalg.inv(L.T).T
+    h = n // 2
+    Li = np.zeros_like(L)
+    Ai = Li[:h, :h] = _tril_inv(L[:h, :h])
+    Ci = Li[h:, h:] = _tril_inv(L[h:, h:])
+    Li[h:, :h] = -(Ci @ (L[h:, :h] @ Ai))
+    return Li
+
+
+def _prior_offset(theta: np.ndarray) -> np.ndarray:
+    """theta minus its prior means: sqrt(2) + log(d) / 2 on each log l_i, 0 on log sv."""
+    off = theta.copy()
+    off[:-1] -= math.sqrt(2.0) + 0.5 * math.log(len(theta) - 1)
+    return off
+
+
+def _evidence_objective(
+    theta: np.ndarray, D: np.ndarray, bordered: np.ndarray, buf: np.ndarray
+) -> tuple[float, tuple]:
+    """Log evidence plus log prior at theta, and the kernel, L and z its
+    gradient needs; -inf where exp overflows or the factor fails."""
+    d = len(D)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])), buf)
+        L, z, ev = _bordered_factor(bordered, gram, DEFAULT_NOISE)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return -np.inf, ()
+    return ev - (_prior_offset(theta) ** 2).sum() / 6.0, (gram, L, z)
+
+
+def _evidence_gradient(
+    theta: np.ndarray, D: np.ndarray, gram: np.ndarray, L: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """The objective's gradient: GPML eq. 5.9 with W = (alpha alpha^T - K^-1)
+    o K, dK/dlog l_i = K o D_i / l_i^2 and dK/dlog sv = K."""
+    d = len(D)
+    Li = _tril_inv(L)
+    alpha = Li.T @ z
+    W = np.outer(alpha, alpha)
+    W -= Li.T @ Li
+    W *= gram
+    ls_part = (D.reshape(d, -1) @ W.ravel()) * np.exp(-2.0 * theta[:d])
+    return 0.5 * np.append(ls_part, W.sum()) - _prior_offset(theta) / 3.0
+
+
 def _maximize_evidence(
     bordered: np.ndarray,
     D: np.ndarray,
@@ -180,47 +235,44 @@ def _maximize_evidence(
     d = D.shape[0]
     rng = np.random.default_rng(0)
     buf = np.empty_like(D)
-
-    def objective(theta: np.ndarray) -> float:
-        gram = _se(D, np.exp(theta[:d]), float(np.exp(theta[d])), buf)
-        try:
-            return _bordered_factor(bordered, gram, DEFAULT_NOISE)[2]
-        except np.linalg.LinAlgError:
-            return -np.inf
-
     n_draws = _N_STARTS if start is None else _N_WARM_DRAWS
     starts = np.column_stack(
         [rng.uniform(*_LS_LOG_RANGE, size=n_draws) for _ in range(d)]
         + [rng.uniform(*_SV_LOG_RANGE, size=n_draws)]
     )
-    step = _FIRST_STEP
     if start is not None:
         # the earlier fit's noise may carry its jitter: only the kernel carries over
         theta0 = np.append(np.log(start.length_scales), math.log(start.signal_variance))
         starts = np.vstack([theta0, starts])
-        step = _WARM_FIRST_STEP
-    values = [objective(theta) for theta in starts]
-    best = int(np.argmax(values))
-    theta, best_val = starts[best].copy(), values[best]
+    # the first best start; max over a generator keeps only its kernel and factor
+    scored = ((*_evidence_objective(theta, D, bordered, buf), theta) for theta in starts)
+    value, parts, theta = max(scored, key=lambda s: s[0])
+    if not parts:  # no start could be factored: leave it to gp_fit's jitter
+        return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])))
 
-    # Greedy coordinate pattern search with step halving, fixed evaluation budget.
-    budget = _SEARCH_BUDGET
-    while budget > 0 and step > _MIN_STEP:
-        improved = False
-        for i in range(d + 1):
-            for sign in (1.0, -1.0):
-                if budget <= 0:
-                    break
-                trial = theta.copy()
-                trial[i] += sign * step
-                val = objective(trial)
-                budget -= 1
-                if val > best_val + 1e-12:
-                    theta, best_val = trial, val
-                    improved = True
-                    break
-        if not improved:
+    # BFGS (Nocedal & Wright, Alg. 6.1), H the inverse Hessian of -objective: a step
+    # moves at most one e-fold and halves until it gains 1e-4 of what its slope promises
+    g, H, eye = _evidence_gradient(theta, D, *parts), None, np.eye(d + 1)
+    for _ in range(_MAX_ASCENT_STEPS):
+        step = g if H is None else H @ g
+        if not step @ g > 0.0:  # H lost its curvature: restart along the gradient
+            H, step = None, g
+        step = step / max(1.0, np.abs(step).max())
+        while np.abs(step).max() >= _STEP_TOL:
+            trial, parts = _evidence_objective(theta + step, D, bordered, buf)
+            if trial >= value + 1e-4 * (step @ g):
+                break
             step *= 0.5
+        else:
+            break  # no step above the tolerance ascends: converged
+        theta, value = theta + step, trial
+        g, g_old = _evidence_gradient(theta, D, *parts), g
+        y = g_old - g  # the change in the gradient of -objective
+        sy = step @ y
+        if sy > 0.0:
+            H = eye * (sy / (y @ y)) if H is None else H
+            V = eye - np.outer(step, y) / sy
+            H = V @ H @ V.T + np.outer(step, step) / sy
     return GpHyperParams(np.exp(theta[:d]), float(np.exp(theta[d])))
 
 

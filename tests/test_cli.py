@@ -21,7 +21,7 @@ from moboga.cli import (
     load_config,
     main,
 )
-from moboga.engine import EngineConfig, RunResult, explore, exploit
+from moboga.engine import STOP_THRESHOLD, EngineConfig, RunResult, explore, exploit
 from moboga.nsga2 import GaConfig
 from moboga.objectives import ConstraintSpec, Problem
 from moboga.problems import binh_korn_problem
@@ -46,7 +46,9 @@ class TestRun:
         assert main(args) == EXIT_OK
         record = load_record(str(out))
         assert record.header["problem"] == "binh-korn"
-        assert len(record.archive) == 10
+        # the default delta stops the seed-7 run on its 10th query, before the budget
+        assert len(record.archive) == 9
+        assert record.archive.stop_reason == STOP_THRESHOLD
         assert record.result is not None
         assert record.result.pof
         # feasibility audit: hard constraints hold over the whole archive
@@ -378,7 +380,8 @@ class TestFront:
         lines = csv_path.read_text().strip().splitlines()
         header, rows = lines[0], lines[1:]
         assert header.startswith("candidate_id,x,y,q1,q2,on_front,is_best,closeness")
-        assert len(rows) == 10
+        assert len(rows) == 9  # the run stops on its 10th query (default delta)
+        assert load_record(str(record_path)).archive.stop_reason == STOP_THRESHOLD
 
     def test_front_flags_and_closeness_columns(self, tmp_path):
         record_path = self.make_record(tmp_path)

@@ -761,7 +761,8 @@ class TestRun:
         )
         cfg = EngineConfig(n_initial=3, max_iterations=6, ga=SMALL_GA, seed=5)
         result = run(problem, cfg)
-        assert len(result.archive) == 6
+        assert len(result.archive) == 5  # the default delta stops the 6th query
+        assert result.archive.stop_reason == STOP_THRESHOLD
         assert len(result.pof) > 1
         assert result.best_index in result.pof
 
