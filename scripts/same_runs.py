@@ -69,7 +69,7 @@ CONFIGS = {
     ),
     "no-constraints-one-ga-key-config": (
         "[problem]\nname = binh-korn\nconstraints = none\n\n"
-        "[engine]\nmax_iterations = 12\n\n[ga]\ncrossover_prob = 0.8\n"
+        "[engine]\nmax_iterations = 12\n\n[ga]\ngenerations = 12\n"
     ),
     # with the default delta this run stops after 13 evaluations, before any kept-θ refit
     "constr-ex-40-config": (

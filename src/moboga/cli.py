@@ -71,14 +71,7 @@ _CONFIG_KEYS = {
     "engine": {
         "seed": int, "n_initial": int, "max_iterations": int, "delta": float, "next_pick": str,
     },
-    "ga": {
-        "population_size": int,
-        "generations": int,
-        "crossover_prob": float,
-        "mutation_prob": float,
-        "sbx_eta": float,
-        "pm_eta": float,
-    },
+    "ga": {"population_size": int, "generations": int},
     "objectives": {"weights": _float_list},
 }
 

@@ -332,9 +332,12 @@ def _initial_design(
                   _fresh(space, problem.hard_constraints, rng, attempts))
     chosen = list(islice(_admitted(pairs, (), _Rows()), cfg.n_initial))
     if len(chosen) < cfg.n_initial:
+        hint = ("pass initial candidates that meet the hard constraints"
+                if problem.hard_constraints else
+                f"the space holds fewer than {cfg.n_initial} distinct points")
         raise EngineError(
             f"initialization exhausted {attempts} draws without collecting {cfg.n_initial} "
-            "distinct candidates; pass initial candidates that meet the hard constraints"
+            f"distinct candidates; {hint}"
         )
     return chosen
 

@@ -342,19 +342,17 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_OK
         assert load_record(str(out)).header["objective_names"] == ["q"]
 
-    @pytest.mark.parametrize("key", ["sbx_eta", "pm_eta"])
-    @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
-    def test_bad_distribution_index_exits_before_any_evaluation(
-        self, tmp_path, capsys, key, raw
-    ):
+    @pytest.mark.parametrize("key", ["crossover_prob", "mutation_prob", "sbx_eta", "pm_eta"])
+    def test_a_retired_operator_key_exits_before_any_record(self, tmp_path, capsys, key):
+        # the GA's operators run at NSGA-II's standard settings, which no config sets
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             "[problem]\nname = binh-korn\n\n[engine]\nn_initial = 4\nmax_iterations = 6\n\n"
-            f"[ga]\npopulation_size = 8\ngenerations = 2\n{key} = {raw}\n"
+            f"[ga]\npopulation_size = 8\ngenerations = 2\n{key} = 0.5\n"
         )
         out = tmp_path / "r.jsonl"
         assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
-        assert "distribution indices" in capsys.readouterr().err
+        assert f"ga.{key}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["-1, 1", "0, 1", "nan, 1", "inf, 1", "1, 1, 1"])
@@ -408,12 +406,14 @@ class TestFront:
         assert a.read_bytes() == b.read_bytes()
 
     def test_a_header_whose_ga_block_carries_a_seed_still_loads(self, tmp_path):
-        # records written before the GA seed left GaConfig hold "ga": {..., "seed": 0}
+        # records written before the GA seed left GaConfig hold "ga": {..., "seed": 0},
+        # and those written before the operator settings left it hold those four too
         record_path = self.make_record(tmp_path)
         lines = record_path.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
-        assert "seed" not in header["ga"]
-        header["ga"]["seed"] = 0
+        assert header["ga"].keys() == {"population_size", "generations"}
+        header["ga"].update(seed=0, crossover_prob=0.9, mutation_prob=None,
+                            sbx_eta=15.0, pm_eta=20.0)
         old = tmp_path / "old.jsonl"
         old.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         got, want = load_record(str(old)).result, load_record(str(record_path)).result

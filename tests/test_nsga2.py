@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from moboga.nsga2 import (
+    CROSSOVER_PROB,
+    PM_ETA,
+    SBX_ETA,
     GaConfig,
     _score,
     _survival,
@@ -40,24 +43,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(population_size=2)
 
-    def test_probabilities_bounded(self):
-        with pytest.raises(ValueError):
-            GaConfig(crossover_prob=1.5)
-        with pytest.raises(ValueError):
-            GaConfig(mutation_prob=-0.2)
-
     def test_defaults(self):
         cfg = GaConfig()
         assert (cfg.population_size, cfg.generations) == (60, 30)
-        assert cfg.crossover_prob == 0.9
-        assert cfg.mutation_prob is None  # resolved to 1/dim at run time
-        assert (cfg.sbx_eta, cfg.pm_eta) == (15.0, 20.0)
-
-    @pytest.mark.parametrize("name", ["sbx_eta", "pm_eta"])
-    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
-    def test_distribution_indices_positive_and_finite(self, name, eta):
-        with pytest.raises(ValueError, match="distribution indices"):
-            GaConfig(**{name: eta})
 
 
 class TestTournament:
@@ -92,87 +80,82 @@ class TestTournament:
 
 class TestCrossover:
     def test_zero_probability_copies_parents(self):
-        cfg = GaConfig(crossover_prob=0.0)
         rng = np.random.default_rng(0)
         p1, p2 = np.array([[0.2, 0.8], [0.1, 0.3]]), np.array([[0.4, 0.6], [0.9, 0.5]])
-        c1, c2 = sbx_crossover(p1, p2, cfg, rng)
+        c1, c2 = sbx_crossover(p1, p2, 0.0, SBX_ETA, rng)
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
         assert c1 is not p1  # fresh arrays, parents untouched
 
     def test_identical_parents_produce_identical_children(self):
-        cfg = GaConfig(crossover_prob=1.0)
         rng = np.random.default_rng(0)
         p = np.array([[0.3, 0.7], [0.5, 0.1]])
-        c1, c2 = sbx_crossover(p, p, cfg, rng)
+        c1, c2 = sbx_crossover(p, p, 1.0, SBX_ETA, rng)
         assert np.allclose(c1, p) and np.allclose(c2, p)
 
     def test_children_stay_in_bounds(self):
-        cfg = GaConfig(crossover_prob=1.0, sbx_eta=2.0)
         rng = np.random.default_rng(2)
-        c1, c2 = sbx_crossover(rng.random((500, 3)), rng.random((500, 3)), cfg, rng)
+        c1, c2 = sbx_crossover(rng.random((500, 3)), rng.random((500, 3)), 1.0, 2.0, rng)
         assert np.all((c1 >= 0) & (c1 <= 1)) and np.all((c2 >= 0) & (c2 <= 1))
 
     def test_spread_is_mean_preserving(self):
-        cfg = GaConfig(crossover_prob=1.0)
         rng = np.random.default_rng(3)
-        c1, c2 = sbx_crossover(np.full((5_000, 1), 0.2), np.full((5_000, 1), 0.8), cfg, rng)
+        c1, c2 = sbx_crossover(
+            np.full((5_000, 1), 0.2), np.full((5_000, 1), 0.8), 1.0, SBX_ETA, rng
+        )
         assert abs(np.mean(np.vstack([c1, c2])) - 0.5) < 0.02
 
     def test_each_pair_flips_its_own_crossover_coin(self):
-        cfg = GaConfig(crossover_prob=0.5)
         rng = np.random.default_rng(4)
         p1, p2 = rng.random((4_000, 3)), rng.random((4_000, 3))
-        c1, c2 = sbx_crossover(p1, p2, cfg, rng)
+        c1, c2 = sbx_crossover(p1, p2, 0.5, SBX_ETA, rng)
         copied = (c1 == p1).all(axis=1) & (c2 == p2).all(axis=1)
         assert abs(np.mean(copied) - 0.5) < 0.05
         assert not np.any((c1 == p1) & ~copied[:, None])  # a crossed pair moves every gene
 
     def test_parent_shapes_must_match(self):
-        cfg = GaConfig()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="one shape"):
-            sbx_crossover(np.zeros((2, 3)), np.zeros((2, 2)), cfg, rng)
+            sbx_crossover(np.zeros((2, 3)), np.zeros((2, 2)), CROSSOVER_PROB, SBX_ETA, rng)
 
 
 class TestMutation:
     def test_zero_probability_is_identity(self):
-        cfg = GaConfig(mutation_prob=0.0)
         rng = np.random.default_rng(0)
         g = np.array([[0.1, 0.9], [0.4, 0.0]])
-        assert np.array_equal(polynomial_mutation(g, cfg, rng), g)
+        assert np.array_equal(polynomial_mutation(g, 0.0, PM_ETA, rng), g)
 
     def test_boundary_gene_only_moves_inward(self):
-        cfg = GaConfig(mutation_prob=1.0)
         rng = np.random.default_rng(1)
-        out = polynomial_mutation(np.array([[0.0, 1.0]] * 2_000), cfg, rng)
+        out = polynomial_mutation(np.array([[0.0, 1.0]] * 2_000), 1.0, PM_ETA, rng)
         assert np.all(out[:, 0] >= 0.0) and np.all(out[:, 1] <= 1.0)
         assert np.any(out[:, 0] > 0.0) and np.any(out[:, 1] < 1.0)
 
     def test_default_rate_is_one_over_dimension(self):
-        cfg = GaConfig(mutation_prob=None)
         rng = np.random.default_rng(2)
         g = np.full((4_000, 10), 0.5)
-        changed = np.sum(polynomial_mutation(g, cfg, rng) != g, axis=1)
+        changed = np.sum(polynomial_mutation(g, 1 / 10, PM_ETA, rng) != g, axis=1)
         assert abs(np.mean(changed) - 1.0) < 0.1  # ~Binomial(10, 1/10) per genome
 
     def test_perturbations_concentrate_near_the_parent(self):
-        cfg = GaConfig(mutation_prob=1.0, pm_eta=20.0)
         rng = np.random.default_rng(3)
-        out = polynomial_mutation(np.full((1_000, 100), 0.5), cfg, rng)
+        out = polynomial_mutation(np.full((1_000, 100), 0.5), 1.0, 20.0, rng)
         assert np.mean(np.abs(out - 0.5)) < 0.1
 
 
 class TestVariation:
-    def test_without_crossover_or_mutation_children_are_the_tournament_winners(self):
-        cfg = GaConfig(crossover_prob=0.0, mutation_prob=0.0)
+    def test_children_are_the_tournament_winners_crossed_then_mutated_at_the_constants(self):
         rng = np.random.default_rng(5)
         genomes = rng.random((12, 3))
         rank = rng.integers(1, 4, size=12)
         crowding = rng.choice([0.5, np.inf], size=12)
-        children = _variation(genomes, rank, crowding, cfg, np.random.default_rng(6))
+        children = _variation(genomes, rank, crowding, np.random.default_rng(6))
         replay = np.random.default_rng(6)
         i, j = replay.integers(12, size=(2, 12))
-        assert np.array_equal(children, genomes[tournament_select(rank, crowding, i, j, replay)])
+        winners = genomes[tournament_select(rank, crowding, i, j, replay)]
+        c1, c2 = sbx_crossover(winners[0::2], winners[1::2], 0.9, 15.0, replay)
+        crossed = np.empty_like(winners)
+        crossed[0::2], crossed[1::2] = c1, c2
+        assert np.array_equal(children, polynomial_mutation(crossed, 1 / 3, 20.0, replay))
 
 
 class TestSurvival:
