@@ -355,6 +355,29 @@ class TestConfigFile:
         assert f"ga.{key}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("population_size", "5", "even integer >= 4"),
+            ("population_size", "2", "even integer >= 4"),
+            ("population_size", "nan", "ga.population_size: cannot parse 'nan'"),
+            ("generations", "0", "generations must be >= 1"),
+            ("generations", "-3", "generations must be >= 1"),
+            ("generations", "2.5", "ga.generations: cannot parse '2.5'"),
+        ],
+    )
+    def test_a_bad_ga_size_exits_before_any_record(self, tmp_path, capsys, key, raw, message):
+        ga = {"population_size": "8", "generations": "2", key: raw}
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[problem]\nname = binh-korn\n\n[engine]\nn_initial = 4\nmax_iterations = 6\n\n"
+            "[ga]\n" + "".join(f"{k} = {v}\n" for k, v in ga.items())
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfg), "-o", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", ["-1, 1", "0, 1", "nan, 1", "inf, 1", "1, 1, 1"])
     def test_bad_weights_exit_before_any_evaluation(self, tmp_path, capsys, raw):
         cfg = tmp_path / "c.ini"

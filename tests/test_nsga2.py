@@ -43,6 +43,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             GaConfig(population_size=2)
 
+    @pytest.mark.parametrize("size", [-4, 0, 3])
+    def test_population_error_names_the_rule(self, size):
+        with pytest.raises(ValueError, match="even integer >= 4"):
+            GaConfig(population_size=size)
+
+    @pytest.mark.parametrize("generations", [0, -1])
+    def test_generations_at_least_one(self, generations):
+        with pytest.raises(ValueError, match="generations must be >= 1"):
+            GaConfig(generations=generations)
+
+    def test_the_smallest_ga_runs(self):
+        genomes, scores, part = nsga2_run(two_sided, GaConfig(4, 1), space_1d(), 0)
+        assert genomes.shape == (4, 1) and scores.shape == (4, 2) and len(part.rank) == 4
+
     def test_defaults(self):
         cfg = GaConfig()
         assert (cfg.population_size, cfg.generations) == (60, 30)
